@@ -63,8 +63,8 @@ class RunnerTelemetry:
     memo_hits: int = 0
     disk_hits: int = 0
     disk_stores: int = 0
-    #: Batched epochs (summed over fresh simulations) that fell off the
-    #: vectorized probe kernel onto the per-access loop.
+    #: Epochs (summed over fresh simulations) the vector bank declined
+    #: at runtime and the engine reran on the serial path.
     demotions: int = 0
     #: Wall seconds spent *inside* ``simulate``/``simulate_stacked``
     #: (per-lane simulator time, summed over fresh results).
@@ -94,7 +94,7 @@ class RunnerTelemetry:
     respawns: int = 0
     #: Fault containment inside stacked groups: lanes quarantined
     #: mid-drive and the subset whose solo re-run was demoted to the
-    #: scalar engine (vector-kernel fault).
+    #: serial engine (vector-kernel fault).
     quarantined_lanes: int = 0
     demoted_lanes: int = 0
     #: Unreadable disk-cache payloads moved to ``quarantine/``.
@@ -128,7 +128,7 @@ class RunnerTelemetry:
         if self.quarantined_lanes:
             line += f", {self.quarantined_lanes} lanes quarantined"
             if self.demoted_lanes:
-                line += f" ({self.demoted_lanes} demoted to scalar)"
+                line += f" ({self.demoted_lanes} demoted to serial)"
         if self.cache_quarantined:
             line += f", {self.cache_quarantined} payloads quarantined"
         if self.resumed_pairs:

@@ -1,14 +1,17 @@
 """Vectorized set-associative cache backend (structure-of-arrays).
 
 :class:`VectorCache` keeps the functional LRU tag state of one cache in
-numpy arrays and resolves whole batches of accesses at once with an LRU
-stack-distance computation instead of one Python probe per access.
-:class:`VectorBank` stacks many slices into one shared array store so
+numpy arrays and serves scalar ``access``/``fill`` calls straight from
+them.  :class:`VectorBank` stacks many slices into one shared array
+store and resolves whole batches of accesses at once with an LRU
+stack-distance computation instead of one Python probe per access, so
 the simulation engine can resolve an entire epoch across every (chip,
 slice) pair with a single kernel invocation
 (:meth:`VectorBank.access_many_grouped` for uniform single-stage
 epochs, :meth:`VectorBank.access_many_staged` for the partitioned
-two-stage lookup plans of the static/dynamic/SAC organizations).
+two-stage lookup plans of the static/dynamic/SAC organizations).  Each
+probe kind has one kernel body, the multi-lane form used by stacked
+sweeps; a solo call is a one-lane call into it.
 
 The batch kernel is *bit-identical* to :class:`SetAssociativeCache`
 for every configuration it covers — true-LRU, write-allocate,
@@ -118,6 +121,9 @@ class StagedResult(NamedTuple):
     hit_stage: np.ndarray     # int64 (n,); -1 miss, 0 stage-0 hit, 1 stage-1
     evicted_cache: np.ndarray  # int64 (k,); flat cache index, dirty evictions
     evicted_addr: np.ndarray  # int64 (k,); line addresses, dirty evictions
+    #: Whether this epoch's flagged sets ran through the stream-order
+    #: ``_SetReplay`` interpreter (one interpreter batch for its lane).
+    set_replay: bool = False
 
 
 class GroupedLaneCall(NamedTuple):
@@ -397,8 +403,7 @@ def _encode_bucket(rows: np.ndarray, tg: np.ndarray, wr: np.ndarray,
 
 def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
                    geo: _Geometry, rows: np.ndarray, tg: np.ndarray,
-                   wr: np.ndarray,
-                   cap: Union[int, np.ndarray, None] = None,
+                   wr: np.ndarray, cap: np.ndarray,
                    sector: Optional[np.ndarray] = None,
                    sec: Optional[np.ndarray] = None,
                    stamp: Optional[np.ndarray] = None,
@@ -409,8 +414,8 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     row ``r`` holds ``count[r]`` resident lines at slots ``0..count-1``
     in LRU -> MRU order.  ``rows``/``tg``/``wr`` give each access's row,
     tag and write flag in stream order.  ``cap`` is the *logical* row
-    capacity (defaults to the physical associativity) — a scalar, or a
-    per-access vector that is constant within each row; every touched
+    capacity, a per-access vector that is constant within each row
+    (a partition's way allotment); every touched
     row must hold at most its cap on entry, and zero-cap rows resolve
     as misses that neither fill nor evict (the vectorized
     ``PartitionFullError`` outcome).  For sectored caches, ``sector``
@@ -432,8 +437,6 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     sm_out = np.zeros(m, dtype=bool) if sector is not None else None
     if m == 0:
         return BatchResult(hits, ev_addr, ev_dirty, sm_out)
-    if cap is None:
-        cap = geo.associativity
     enc = _encode_stream(rows, tg, wr, tags.shape[0], sec=sec)
     _replay_encoding(enc, tags, dirty, count, geo, 0, cap,
                      hits, ev_addr, ev_dirty, sector=sector,
@@ -441,7 +444,8 @@ def _batch_resolve(tags: np.ndarray, dirty: np.ndarray, count: np.ndarray,
     return BatchResult(hits, ev_addr, ev_dirty, sm_out)
 
 
-def _replay_encoding(enc: _StreamEncoding, tags: np.ndarray,
+def _replay_encoding(enc: Union[_StreamEncoding, _LaneEncoding],
+                     tags: np.ndarray,
                      dirty: np.ndarray, count: np.ndarray, geo: _Geometry,
                      row_offset: int, caps: Union[int, np.ndarray],
                      hits: np.ndarray, ev_addr: np.ndarray,
@@ -451,7 +455,7 @@ def _replay_encoding(enc: _StreamEncoding, tags: np.ndarray,
                      stamp: Optional[np.ndarray] = None,
                      stamp_vals: Optional[np.ndarray] = None,
                      sm_out: Optional[np.ndarray] = None) -> None:
-    """Replay one lane's state through a stream encoding (cheap half).
+    """Replay lane state through a stream encoding (cheap half).
 
     ``row_offset`` (a multiple of the set count) relocates the
     encoding's stream-local rows into the lane's rows of the state
@@ -461,6 +465,11 @@ def _replay_encoding(enc: _StreamEncoding, tags: np.ndarray,
     zero-way partitions) — masked groups produce no output and no
     state writes.  Outputs land in ``hits``/``ev_addr``/``ev_dirty``
     (and ``sm_out``) at the encoding's stream positions.
+
+    A lane-tiled encoding (:func:`_tile_encoding_lanes`) resolves all
+    of its lanes in one pass: its row offsets are baked in (pass
+    ``row_offset=0``) and ``caps``/``ok``/``stamp_vals`` and the
+    outputs are lane-major, ``lanes * n`` long.
     """
     for bk in enc.buckets:
         ngroups = bk.rows_l.size
@@ -485,11 +494,11 @@ class _LaneEncoding(NamedTuple):
     per-group table gains ``lanes`` copies whose group ids, bucket
     positions and stream positions are offset per lane, and whose rows
     carry each lane's absolute row offset baked in.  One
-    :func:`_replay_encoding_lanes` call over the folded buckets then
+    :func:`_replay_encoding` call over the folded buckets then
     resolves all lanes' verdicts and state writes at once —
-    bit-identical to ``lanes`` sequential :func:`_replay_encoding`
-    calls, because the kernel's histograms, chains and verdicts are
-    strictly per-group and lanes own disjoint store rows.
+    bit-identical to ``lanes`` sequential per-lane replays, because the
+    kernel's histograms, chains and verdicts are strictly per-group and
+    lanes own disjoint store rows.
     """
 
     lanes: int
@@ -543,41 +552,6 @@ def _tile_encoding_lanes(enc: _StreamEncoding,
         # per-stream encoding the tiling derives from.
         _sanitize.freeze(lenc)
     return lenc
-
-
-def _replay_encoding_lanes(lenc: _LaneEncoding, tags: np.ndarray,
-                           dirty: np.ndarray, count: np.ndarray,
-                           geo: _Geometry,
-                           caps: Union[int, np.ndarray],
-                           hits: np.ndarray, ev_addr: np.ndarray,
-                           ev_dirty: np.ndarray,
-                           ok: Optional[np.ndarray] = None,
-                           sector: Optional[np.ndarray] = None,
-                           stamp: Optional[np.ndarray] = None,
-                           stamp_vals: Optional[np.ndarray] = None,
-                           sm_out: Optional[np.ndarray] = None) -> None:
-    """Replay all lanes of a tiled encoding in one batched kernel pass.
-
-    ``caps``/``ok``/``stamp_vals`` and the output arrays are lane-major
-    (``lanes * n`` long, lane ``k`` at ``[k * n, (k + 1) * n)``); row
-    offsets are already baked into the tiled buckets, so the replay
-    runs at offset zero.  Bit-identical per lane to ``lanes``
-    sequential :func:`_replay_encoding` calls.
-    """
-    for bk in lenc.buckets:
-        ngroups = bk.rows_l.size
-        if isinstance(caps, np.ndarray):
-            capg = np.zeros(ngroups, dtype=np.int64)
-            capg[bk.gl] = caps[bk.idx]
-        else:
-            capg = np.full(ngroups, int(caps), dtype=np.int64)
-        okg: Optional[np.ndarray] = None
-        if ok is not None:
-            okg = np.zeros(ngroups, dtype=bool)
-            okg[bk.gl] = ok[bk.idx]
-        _replay_bucket(bk, tags, dirty, count, geo, 0, capg,
-                       okg, hits, ev_addr, ev_dirty, sector, stamp,
-                       stamp_vals, sm_out)
 
 
 def _replay_bucket(bk: _BucketEncoding, tags: np.ndarray,
@@ -1169,12 +1143,10 @@ class _SetReplay:
 class VectorCache:
     """Drop-in :class:`SetAssociativeCache` backed by slot-major arrays.
 
-    All operations — batched and scalar, partitioned and sectored — are
-    served natively from the array state; there is no scalar delegate.
-    Batches take the stack-distance kernel whenever every touched row's
-    state is describable by a single logical capacity; everything else
-    (over-allotment rows after a repartition, cross-slot tag aliases)
-    is replayed per set in stream order with exact scalar semantics.
+    Scalar operations — partitioned and sectored included — are served
+    natively from the array state; there is no scalar delegate.  Batches
+    go through a :class:`VectorBank`, whose slices are views of one
+    shared store.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache",
@@ -1206,14 +1178,6 @@ class VectorCache:
         if geo.sets_pow2:
             return line & geo.set_mask, line >> geo.index_bits
         return line % geo.num_sets, line // geo.num_sets
-
-    # -- Mode predicates -------------------------------------------------
-
-    def _foreign_free(self) -> bool:
-        """No resident line outside slot 0 anywhere in this cache."""
-        store = self._store
-        return store.num_slots == 1 or \
-            not store.count[1:, self._index].any()
 
     # -- Scalar operations -----------------------------------------------
 
@@ -1382,217 +1346,6 @@ class VectorCache:
                     stats.dirty_evictions += 1
         return AccessResult(hit=False, evicted_dirty=bool(ev_dirty),
                             evicted_addr=ev_addr if evicted else None)
-
-    # -- Batch operations -------------------------------------------------
-
-    def access_many(self, addrs: Sequence[int], writes: Sequence[bool],
-                    partition: int = UNPARTITIONED,
-                    allocate_on_miss: bool = True) -> BatchResult:
-        """Resolve a whole access stream; outcomes are in stream order.
-
-        Equivalent to calling :meth:`access` per element (a raised
-        ``PartitionFullError`` records a miss with no eviction, as the
-        engine's probe loop does).
-        """
-        addrs_np = np.ascontiguousarray(addrs, dtype=np.int64)
-        writes_np = np.ascontiguousarray(writes, dtype=bool)
-        if not (allocate_on_miss and self.config.write_allocate):
-            return self._access_many_scalar(addrs_np, writes_np, partition,
-                                            allocate_on_miss)
-        if (self._ways is None and partition == UNPARTITIONED
-                and self._foreign_free()):
-            return self._batch_fast(addrs_np, writes_np)
-        return self._batch_slotted(addrs_np, writes_np, partition)
-
-    def _batch_fast(self, addrs: np.ndarray,
-                    writes: np.ndarray) -> BatchResult:
-        """Single-slot, uncapped batch: one kernel call, no replay."""
-        geo = self._geo
-        store = self._store
-        n = addrs.shape[0]
-        sets, tg = geo.split(addrs)
-        rows = np.int64(store.row_base(0, self._index)) + sets
-        ftags, fdirty, fcount, fsector, fstamp = store.flat()
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        stamp_vals = None
-        if fstamp is not None:
-            stamp_vals = np.arange(store.clock, store.clock + n,
-                                   dtype=np.int64)
-        result = _batch_resolve(ftags, fdirty, fcount, geo, rows, tg,
-                                writes, sector=fsector, sec=sec,
-                                stamp=fstamp, stamp_vals=stamp_vals)
-        if fstamp is not None:
-            store.clock += n
-        nhits = int(result.hits.sum())
-        nsm = int(result.sector_miss.sum()) \
-            if result.sector_miss is not None else 0
-        stats = self.stats
-        stats.accesses += n
-        stats.hits += nhits
-        stats.misses += n - nhits
-        stats.sector_misses += nsm
-        stats.fills += n - nhits - nsm
-        stats.evictions += int((result.evicted_addr >= 0).sum())
-        stats.dirty_evictions += int(result.evicted_dirty.sum())
-        return result
-
-    def _batch_slotted(self, addrs: np.ndarray, writes: np.ndarray,
-                       partition: int) -> BatchResult:
-        """Partitioned (or multi-slot) batch: capped kernel + replay.
-
-        Sets whose per-slot occupancy exceeds the partition's current
-        allotment, and sets where the batch's tags alias a line resident
-        in a *different* slot (the scalar lookup is global across
-        partitions), are replayed in stream order; every other set takes
-        the kernel over the partition's slot block with ``cap`` set to
-        its way allotment.
-        """
-        geo = self._geo
-        store = self._store
-        store.ensure_stamps()
-        n = addrs.shape[0]
-        ci = self._index
-        A = geo.associativity
-        ways = self._ways
-        if ways is not None:
-            cap = int(ways.get(partition, 0))
-            slot = store.ensure_slot(partition) if cap > 0 \
-                else store.slot_of.get(partition, -1)
-        elif partition == UNPARTITIONED:
-            cap, slot = A, 0
-        else:
-            cap, slot = -1, -1  # foreign partition: replay everything
-        sets, tg = geo.split(addrs)
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        clock0 = store.clock
-
-        counts = store.count[:, ci, :]          # (P, S)
-        caps_vec = np.zeros(store.num_slots, dtype=np.int64)
-        if ways is not None:
-            for pid, w in ways.items():
-                sl = store.slot_of.get(pid, -1)
-                if sl >= 0:
-                    caps_vec[sl] = w
-        else:
-            caps_vec[0] = A
-        row_flag = (counts > caps_vec[:, None]).any(axis=0)  # (S,)
-        replay_sel = row_flag[sets]
-        if cap < 0:
-            replay_sel = np.ones(n, dtype=bool)
-        else:
-            # Cross-slot tag aliases: route the whole set to replay so
-            # intra-set ordering survives.
-            for q in range(store.num_slots):
-                if q == slot:
-                    continue
-                cq = counts[q]
-                if not cq.any():
-                    continue
-                tq = store.tags[q, ci]
-                live = np.arange(A, dtype=np.int64)[None, :] < \
-                    cq[sets][:, None]
-                conflict = ((tq[sets] == tg[:, None]) & live).any(axis=1)
-                if conflict.any():
-                    badsets = np.zeros(geo.num_sets, dtype=bool)
-                    badsets[sets[conflict]] = True
-                    replay_sel |= badsets[sets]
-
-        hits = np.zeros(n, dtype=bool)
-        ev_addr = np.full(n, -1, dtype=np.int64)
-        ev_dirty = np.zeros(n, dtype=bool)
-        sm = np.zeros(n, dtype=bool) if geo.sectored else None
-        fills = 0
-
-        iv = np.flatnonzero(~replay_sel)
-        if iv.size and cap > 0:
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            krows = np.int64(store.row_base(slot, ci)) + sets[iv]
-            sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-            res = _batch_resolve(
-                ftags, fdirty, fcount, geo, krows, tg[iv], writes[iv],
-                cap=cap, sector=fsector,
-                sec=sec[iv] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[iv])
-            hits[iv] = res.hits
-            ev_addr[iv] = res.evicted_addr
-            ev_dirty[iv] = res.evicted_dirty
-            ksm = 0
-            if sm is not None and res.sector_miss is not None:
-                sm[iv] = res.sector_miss
-                ksm = int(res.sector_miss.sum())
-            fills += iv.size - int(res.hits.sum()) - ksm
-        # cap == 0: every non-replayed access misses without filling
-        # (the scalar model raises PartitionFullError after counting
-        # the access and the miss); cap < 0 leaves nothing here.
-
-        ir = np.flatnonzero(replay_sel)
-        if ir.size:
-            store.set_replay_batches += 1
-            rep = _SetReplay(store, geo)
-            sets_l = sets[ir].tolist()
-            tg_l = tg[ir].tolist()
-            wr_l = writes[ir].tolist()
-            sec_l = sec[ir].tolist() if sec is not None else None
-            for k in range(ir.size):
-                j = int(ir[k])
-                try:
-                    h, smiss, filled, ea, ed = rep.touch(
-                        ci, sets_l[k], tg_l[k], wr_l[k], partition, True,
-                        sec_l[k] if sec_l is not None else 0,
-                        ways, clock0 + j)
-                except PartitionFullError:
-                    continue
-                hits[j] = h
-                if sm is not None and smiss:
-                    sm[j] = True
-                if filled:
-                    fills += 1
-                if ea >= 0:
-                    ev_addr[j] = ea
-                    ev_dirty[j] = bool(ed)
-            rep.flush_back()
-
-        store.clock = clock0 + n
-        nh = int(hits.sum())
-        nsm = int(sm.sum()) if sm is not None else 0
-        stats = self.stats
-        stats.accesses += n
-        stats.hits += nh
-        stats.misses += n - nh
-        stats.sector_misses += nsm
-        stats.fills += fills
-        stats.evictions += int((ev_addr >= 0).sum())
-        stats.dirty_evictions += int(ev_dirty.sum())
-        return BatchResult(hits, ev_addr, ev_dirty, sm)
-
-    def _access_many_scalar(self, addrs: np.ndarray, writes: np.ndarray,
-                            partition: int,
-                            allocate_on_miss: bool) -> BatchResult:
-        n = addrs.shape[0]
-        hits = np.zeros(n, dtype=bool)
-        ev_addr = np.full(n, -1, dtype=np.int64)
-        ev_dirty = np.zeros(n, dtype=bool)
-        addrs_l = addrs.tolist()
-        writes_l = writes.tolist()
-        # Scalar fallback for streams the batch paths do not cover
-        # (no-allocate probes, no-write-allocate configs); semantics are
-        # the scalar model's, one probe at a time by design.
-        for i in range(n):  # repro: noqa(hot-loop)
-            try:
-                result = self.access(addrs_l[i], writes_l[i],
-                                     partition=partition,
-                                     allocate_on_miss=allocate_on_miss)
-            except PartitionFullError:
-                # A full partition is a miss that cannot fill; the
-                # access itself is already counted (accesses/misses)
-                # before the raise, so record the outcome explicitly.
-                hits[i] = False
-                continue
-            hits[i] = result.hit
-            if result.evicted_addr is not None:
-                ev_addr[i] = result.evicted_addr
-                ev_dirty[i] = result.evicted_dirty
-        return BatchResult(hits, ev_addr, ev_dirty)
 
     # -- Partitioning ----------------------------------------------------
 
@@ -1863,7 +1616,7 @@ class VectorBank:
 
     def access_many_grouped(self, cache_idx: np.ndarray, addrs: np.ndarray,
                             writes: np.ndarray,
-                            lanes: Optional[Sequence[Tuple[int, int]]] = None
+                            lane: Optional[Tuple[int, int]] = None
                             ) -> Optional[BatchResult]:
         """Resolve one uniform epoch across every cache of the bank.
 
@@ -1873,79 +1626,26 @@ class VectorBank:
         no-write-allocate configs — so behaviour always matches the
         scalar model.
 
-        ``lanes`` restricts the eligibility gate (and the per-cache
-        stats update) to the given ``[lo, hi)`` cache ranges — the lanes
-        this call actually probes.  Lanes are row-disjoint in the shared
-        store, so a way-partitioned lane elsewhere in a stacked bank
-        must not force *this* lane off the kernel.  Omitted, the whole
-        bank is one lane (the single-engine behaviour).
+        ``lane`` restricts the eligibility gate (and the per-cache
+        stats update) to the ``[lo, hi)`` cache range this call
+        actually probes.  Lanes are row-disjoint in the shared store, so
+        a way-partitioned lane elsewhere in a stacked bank must not
+        force *this* lane off the kernel.  Omitted, the whole bank is
+        one lane.  The call is a one-lane call into the shared kernel
+        body (:meth:`access_many_grouped_shared`).
         """
+        lo, hi = lane if lane is not None else (0, len(self.caches))
+        call = GroupedLaneCall((lo, hi), cache_idx - lo if lo else cache_idx,
+                               addrs, writes, 0)
         if not _sanitize.enabled():
-            return self._grouped_epoch(cache_idx, addrs, writes, lanes)
+            return self._grouped_shared_epochs([call])[0]
         site = "VectorBank.access_many_grouped"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
         _sanitize.expect(site, "writes", writes, "bool", n)
         _sanitize.expect(site, "cache_idx", cache_idx, "int64", n)
         with _sanitize.guarded(site):
-            return self._grouped_epoch(cache_idx, addrs, writes, lanes)
-
-    def _grouped_epoch(self, cache_idx: np.ndarray, addrs: np.ndarray,
-                       writes: np.ndarray,
-                       lanes: Optional[Sequence[Tuple[int, int]]]
-                       ) -> Optional[BatchResult]:
-        """Kernel body of :meth:`access_many_grouped`."""
-        geo = self._geo
-        store = self._store
-        if not geo.write_allocate:
-            return None
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        # Per-lane gate: each probed lane's caches must be unpartitioned
-        # and foreign-free (no resident line outside slot 0).
-        for lo, hi in ranges:
-            if any(c._ways is not None for c in self.caches[lo:hi]):
-                return None
-            if store.num_slots > 1 and store.count[1:, lo:hi].any():
-                return None
-        sets, tg = geo.split(addrs)
-        rows = cache_idx * np.int64(geo.num_sets) + sets
-        n = addrs.shape[0]
-        ftags, fdirty, fcount, fsector, fstamp = store.flat()
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        stamp_vals = None
-        if fstamp is not None:
-            stamp_vals = np.arange(store.clock, store.clock + n,
-                                   dtype=np.int64)
-        result = _batch_resolve(ftags, fdirty, fcount, geo, rows, tg,
-                                writes, sector=fsector, sec=sec,
-                                stamp=fstamp, stamp_vals=stamp_vals)
-        if fstamp is not None:
-            store.clock += n
-        num = len(self.caches)
-        acc = np.bincount(cache_idx, minlength=num)
-        hit = np.bincount(cache_idx[result.hits], minlength=num)
-        ev = np.bincount(cache_idx[result.evicted_addr >= 0],
-                         minlength=num)
-        dev = np.bincount(cache_idx[result.evicted_dirty], minlength=num)
-        if result.sector_miss is not None:
-            smc = np.bincount(cache_idx[result.sector_miss], minlength=num)
-        else:
-            smc = np.zeros(num, dtype=np.int64)
-        for lo, hi in ranges:
-            for i in range(lo, hi):
-                stats = self.caches[i].stats
-                ni = int(acc[i])
-                nhits = int(hit[i])
-                nsm = int(smc[i])
-                stats.accesses += ni
-                stats.hits += nhits
-                stats.misses += ni - nhits
-                stats.sector_misses += nsm
-                stats.fills += ni - nhits - nsm
-                stats.evictions += int(ev[i])
-                stats.dirty_evictions += int(dev[i])
-        return result
+            return self._grouped_shared_epochs([call])[0]
 
     def access_many_grouped_shared(
             self, calls: Sequence[GroupedLaneCall]
@@ -1976,7 +1676,7 @@ class VectorBank:
         """Kernel body of :meth:`access_many_grouped_shared`.
 
         Same-stream lanes are folded into one lane-major replay
-        (:func:`_replay_encoding_lanes`): per round the encoding pass
+        (:func:`_tile_encoding_lanes`): per round the encoding pass
         runs once per unique stream and the replay pass once per
         *stream group*, not once per lane.  Per-lane clock bases follow
         call order, exactly as the sequential path stamps them — lanes
@@ -2045,12 +1745,10 @@ class VectorBank:
                 ev_dirty = np.zeros(L * n, dtype=bool)
                 sm_out = np.zeros(L * n, dtype=bool) \
                     if fsector is not None else None
-                _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
-                                       geo.associativity, hits, ev_addr,
-                                       ev_dirty, sector=fsector,
-                                       stamp=fstamp,
-                                       stamp_vals=stamp_vals,
-                                       sm_out=sm_out)
+                _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0,
+                                 geo.associativity, hits, ev_addr,
+                                 ev_dirty, sector=fsector, stamp=fstamp,
+                                 stamp_vals=stamp_vals, sm_out=sm_out)
                 self.shared_replays += L
                 self.lane_batched_rounds += 1
                 for j, k in enumerate(members):
@@ -2152,7 +1850,7 @@ class VectorBank:
                           sets: np.ndarray, tg: np.ndarray,
                           slot0: np.ndarray, idx1: np.ndarray,
                           slot1: np.ndarray, two_stage: np.ndarray,
-                          ranges: Sequence[Tuple[int, int]]
+                          lane: Tuple[int, int]
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Cross-slot alias scan plus replay-set closure for one epoch.
 
@@ -2162,16 +1860,15 @@ class VectorBank:
         of the (cache, set) pairs it touches, so kernel phases and the
         replay interpreter never share a row.  Returns the closed table
         and the per-access replay mask.  Cache indices are absolute;
-        ``ranges`` are the probed cache ranges — slots with no occupancy
-        inside them cannot alias any probed tag and are skipped.
+        ``lane`` is the probed cache range — slots with no occupancy
+        inside it cannot alias any probed tag and are skipped.
         """
         store = self._store
         A = self._geo.associativity
         n = idx0.shape[0]
-        active = []
-        for q in range(store.num_slots):
-            if any(store.count[q][lo:hi].any() for lo, hi in ranges):
-                active.append(q)
+        lo, hi = lane
+        active = [q for q in range(store.num_slots)
+                  if store.count[q][lo:hi].any()]
         if active and n:
             # Streams reuse lines heavily, so the per-slot tag scans run
             # over the unique (cache, set, tag) probes — typically far
@@ -2435,7 +2132,7 @@ class VectorBank:
             ea1[jj] = a1[:, 3]
             ed1[jj] = a1[:, 4].astype(bool)
 
-    def _staged_outcome(self, ranges: Sequence[Tuple[int, int]],
+    def _staged_outcome(self, lane: Tuple[int, int], set_replay: bool,
                         idx0: np.ndarray, idx1: np.ndarray,
                         two_stage: np.ndarray, h0: np.ndarray,
                         sm0: np.ndarray, f0: np.ndarray, ea0: np.ndarray,
@@ -2463,30 +2160,29 @@ class VectorBank:
         fil1 = np.bincount(idx1[f1], minlength=C)
         ev1 = np.bincount(idx1[ea1 >= 0], minlength=C)
         dev1 = np.bincount(idx1[ed1], minlength=C)
-        for lo, hi in ranges:
-            for ci in range(lo, hi):
-                st = self.caches[ci].stats
-                a = int(acc0[ci] + acc1[ci])
-                h = int(hit0[ci] + hit1[ci])
-                st.accesses += a
-                st.hits += h
-                st.misses += a - h
-                st.sector_misses += int(smc0[ci] + smc1[ci])
-                st.fills += int(fil0[ci] + fil1[ci])
-                st.evictions += int(ev0[ci] + ev1[ci])
-                st.dirty_evictions += int(dev0[ci] + dev1[ci])
+        for ci in range(*lane):
+            st = self.caches[ci].stats
+            a = int(acc0[ci] + acc1[ci])
+            h = int(hit0[ci] + hit1[ci])
+            st.accesses += a
+            st.hits += h
+            st.misses += a - h
+            st.sector_misses += int(smc0[ci] + smc1[ci])
+            st.fills += int(fil0[ci] + fil1[ci])
+            st.evictions += int(ev0[ci] + ev1[ci])
+            st.dirty_evictions += int(dev0[ci] + dev1[ci])
         hs = np.full(n, -1, dtype=np.int64)
         hs[p1 & h1] = 1
         hs[h0] = 0
         ev_cache = np.concatenate([idx0[ed0], idx1[ed1]])
         ev_addrs = np.concatenate([ea0[ed0], ea1[ed1]])
-        return StagedResult(hs, ev_cache, ev_addrs)
+        return StagedResult(hs, ev_cache, ev_addrs, set_replay)
 
     def access_many_staged(self, addrs: np.ndarray, writes: np.ndarray,
                            idx0: np.ndarray, part0: np.ndarray,
                            two_stage: np.ndarray, idx1: np.ndarray,
                            part1: np.ndarray,
-                           lanes: Optional[Sequence[Tuple[int, int]]] = None
+                           lane: Optional[Tuple[int, int]] = None
                            ) -> Optional[StagedResult]:
         """Resolve one partitioned two-stage epoch on the kernel.
 
@@ -2494,18 +2190,21 @@ class VectorBank:
         where ``two_stage`` and the first probe misses, it then probes
         ``idx1`` with ``part1``.  All caches must be way-partitioned.
         Returns None when the epoch cannot be decomposed into
-        row-disjoint phases (the engine's probe loop handles it).
+        row-disjoint phases (the engine reruns it serially).
 
-        ``lanes`` narrows the all-partitioned requirement (and the stats
-        update) to the probed ``[lo, hi)`` cache ranges of a stacked
-        bank.  Out-of-lane caches keep a zero way allotment in the
-        capacity table; ``idx0``/``idx1`` never address them, and the
-        replay closure only propagates through addressed (cache, set)
-        pairs, so their flagged sets are inert.
+        ``lane`` narrows the all-partitioned requirement (and the stats
+        update) to the probed ``[lo, hi)`` cache range of a stacked
+        bank, exactly as for :meth:`access_many_grouped`.  Cache
+        indices, in and out, are bank-absolute.  The call is a one-lane
+        call into the shared kernel body
+        (:meth:`access_many_staged_shared`).
         """
+        lo, hi = lane if lane is not None else (0, len(self.caches))
+        call = StagedLaneCall((lo, hi), addrs, writes,
+                              idx0 - lo if lo else idx0, part0, two_stage,
+                              idx1 - lo if lo else idx1, part1, 0)
         if not _sanitize.enabled():
-            return self._staged_epoch(addrs, writes, idx0, part0,
-                                      two_stage, idx1, part1, lanes)
+            return self._staged_shared_epochs([call])[0]
         site = "VectorBank.access_many_staged"
         n = addrs.shape[0]
         _sanitize.expect(site, "addrs", addrs, "int64", n)
@@ -2516,203 +2215,7 @@ class VectorBank:
         _sanitize.expect(site, "idx1", idx1, "int64", n)
         _sanitize.expect(site, "part1", part1, "int64", n)
         with _sanitize.guarded(site):
-            return self._staged_epoch(addrs, writes, idx0, part0,
-                                      two_stage, idx1, part1, lanes)
-
-    def _staged_epoch(self, addrs: np.ndarray, writes: np.ndarray,
-                      idx0: np.ndarray, part0: np.ndarray,
-                      two_stage: np.ndarray, idx1: np.ndarray,
-                      part1: np.ndarray,
-                      lanes: Optional[Sequence[Tuple[int, int]]]
-                      ) -> Optional[StagedResult]:
-        """Kernel body of :meth:`access_many_staged`."""
-        if not self.config.write_allocate or not self.caches:
-            return None
-        ranges = tuple(lanes) if lanes is not None else \
-            ((0, len(self.caches)),)
-        ways_list: List[Optional[Dict[int, int]]] = \
-            [None] * len(self.caches)
-        for lo, hi in ranges:
-            for ci in range(lo, hi):
-                w = self.caches[ci]._ways
-                if w is None:
-                    return None
-                ways_list[ci] = w
-        store = self._store
-        store.ensure_stamps()
-        geo = self._geo
-        C = len(self.caches)
-        S = geo.num_sets
-        n = addrs.shape[0]
-        cap_of = self._partition_caps(ways_list)
-        slot0 = self._slots_for(part0)
-        slot1 = self._slots_for(part1)
-        cap0 = np.where(slot0 >= 0, cap_of[idx0, np.maximum(slot0, 0)], 0)
-        cap1 = np.where(slot1 >= 0, cap_of[idx1, np.maximum(slot1, 0)], 0)
-        sets, tg = geo.split(addrs)
-        sec = geo.sector_of(addrs) if geo.sectored else None
-        clock0 = store.clock
-        sv = np.arange(clock0, clock0 + n, dtype=np.int64)
-
-        # Rows the capacity model cannot describe: cross-slot tag
-        # aliases, plus whatever over-allotment occupancy the drain
-        # model below cannot express.  Drain-eligible rows leave the
-        # flagged table *before* the replay closure — the closure can
-        # still pull one back (an access bridging it to a flagged row),
-        # and then the interpreter handles it exactly.
-        flagged = (store.count > cap_of.T[:, :, None]).any(axis=0)  # (C, S)
-        drains: Optional[np.ndarray] = None
-        count0 = o_slot = None
-        if flagged.any():
-            count0 = store.count.copy()
-            cand, o_slot = self._drain_rows_static(cap_of, count0)
-            cand &= ~self._drain_viol(o_slot, idx0, sets, slot0, idx1,
-                                      slot1, two_stage)
-            if cand.any():
-                drains = cand
-                flagged &= ~drains
-        flagged, replay = self._flag_replay_rows(
-            flagged, idx0, sets, tg, slot0, idx1, slot1, two_stage,
-            ranges)
-        if drains is not None:
-            drains &= ~flagged
-            if not drains.any():
-                drains = None
-
-        krow0 = (np.maximum(slot0, 0) * np.int64(C) + idx0) * \
-            np.int64(S) + sets
-        krow1 = (np.maximum(slot1, 0) * np.int64(C) + idx1) * \
-            np.int64(S) + sets
-        sel_a = two_stage & ~replay
-        sel_b0 = ~two_stage & ~replay
-        # Phase disjointness via a flat row-membership table — cheaper
-        # than sorting both phases' rows to uniques and intersecting.
-        in_a = np.zeros(store.num_slots * C * S, dtype=bool)
-        in_a[krow0[sel_a & (cap0 > 0)]] = True
-        if in_a[krow0[sel_b0 & (cap0 > 0)]].any() or \
-                in_a[krow1[sel_a & (cap1 > 0)]].any():
-            return None
-
-        h0 = np.zeros(n, dtype=bool)
-        sm0 = np.zeros(n, dtype=bool)
-        f0 = np.zeros(n, dtype=bool)
-        ea0 = np.full(n, -1, dtype=np.int64)
-        ed0 = np.zeros(n, dtype=bool)
-        h1 = np.zeros(n, dtype=bool)
-        sm1 = np.zeros(n, dtype=bool)
-        f1 = np.zeros(n, dtype=bool)
-        ea1 = np.full(n, -1, dtype=np.int64)
-        ed1 = np.zeros(n, dtype=bool)
-
-        def run_kernel(gidx: np.ndarray, krows_g: np.ndarray,
-                       caps_g: np.ndarray, hout: np.ndarray,
-                       smout: np.ndarray, fout: np.ndarray,
-                       eaout: np.ndarray, edout: np.ndarray) -> None:
-            # One kernel call resolves every capacity at once: the
-            # replay applies per-group caps natively, and zero-way
-            # partitions come back as fill-less misses (the vectorized
-            # PartitionFullError outcome) straight from the mask.
-            # Fresh views every call: replay/slot growth between
-            # phases can reallocate the store's arrays.
-            ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            res = _batch_resolve(
-                ftags, fdirty, fcount, geo, krows_g, tg[gidx],
-                writes[gidx], cap=caps_g, sector=fsector,
-                sec=sec[gidx] if sec is not None else None,
-                stamp=fstamp, stamp_vals=sv[gidx])
-            pos = caps_g > 0
-            hout[gidx] = res.hits
-            eaout[gidx] = res.evicted_addr
-            edout[gidx] = res.evicted_dirty
-            if res.sector_miss is not None:
-                smout[gidx] = res.sector_miss
-                fout[gidx] = ~(res.hits | res.sector_miss) & pos
-            else:
-                fout[gidx] = ~res.hits & pos
-
-        # Phase 1: stage-0 probes of two-stage accesses.
-        ia = np.flatnonzero(sel_a)
-        if ia.size:
-            run_kernel(ia, krow0[ia], cap0[ia], h0, sm0, f0, ea0, ed0)
-
-        # Drained rows: phase 1 solved their under slots natively;
-        # derive which of those fills evict the over slot's LRU.
-        dr = None
-        if drains is not None:
-            assert count0 is not None and o_slot is not None
-            dr = self._drain_events(drains, o_slot, count0, cap0, idx0,
-                                    sets, two_stage, replay, f0, krow0)
-
-        # Phase 2: stream-order replay of flagged sets (both stages).
-        ir = np.flatnonzero(replay)
-        if ir.size:
-            self._replay_flagged(ir, idx0, idx1, sets, tg, writes, sec,
-                                 part0, part1, two_stage, ways_list,
-                                 clock0, h0, sm0, f0, ea0, ed0,
-                                 h1, sm1, f1, ea1, ed1)
-
-        # Phase 3: single-stage probes + stage-1 probes of stage-0
-        # misses, interleaved in stream order.  At drained rows the
-        # over slot behaves as a plain LRU of its current occupancy, so
-        # its probes run in passes between drain applications, each
-        # pass capped at the occupancy it observes.
-        p1k = two_stage & ~replay & ~h0
-        ib = np.flatnonzero(sel_b0 | p1k)
-        if ib.size or (dr is not None and dr[0].size):
-            use1 = p1k[ib]
-            krow_b = np.where(use1, krow1[ib], krow0[ib])
-            cap_b = np.where(use1, cap1[ib], cap0[ib])
-            h_t = np.zeros(n, dtype=bool)
-            sm_t = np.zeros(n, dtype=bool)
-            f_t = np.zeros(n, dtype=bool)
-            ea_t = np.full(n, -1, dtype=np.int64)
-            ed_t = np.zeros(n, dtype=bool)
-            if dr is None:
-                run_kernel(ib, krow_b, cap_b, h_t, sm_t, f_t, ea_t, ed_t)
-            else:
-                dr_pos, dr_row, dr_rid, dr_t, occ_over = dr
-                rid_b = np.where(use1, idx1[ib], idx0[ib]) * \
-                    np.int64(S) + sets[ib]
-                at_drain = drains.reshape(-1)[rid_b]
-                pass_of = np.zeros(ib.size, dtype=np.int64)
-                max_t = int(dr_t.max()) + 1 if dr_t.size else 0
-                for t in range(max_t):
-                    sel_t = dr_t == t
-                    pos_at = np.full(len(self.caches) * S, n,
-                                     dtype=np.int64)
-                    pos_at[dr_rid[sel_t]] = dr_pos[sel_t]
-                    pass_of[at_drain] += \
-                        ib[at_drain] > pos_at[rid_b[at_drain]]
-                cap_b = np.where(at_drain,
-                                 occ_over[rid_b] - pass_of, cap_b)
-                for t in range(max_t + 1):
-                    selp = (pass_of == t) if t else \
-                        (~at_drain | (pass_of == 0))
-                    sub = np.flatnonzero(selp)
-                    if sub.size:
-                        run_kernel(ib[sub], krow_b[sub], cap_b[sub],
-                                   h_t, sm_t, f_t, ea_t, ed_t)
-                    if t < max_t:
-                        sel_t = dr_t == t
-                        self._apply_drain(dr_row[sel_t], dr_pos[sel_t],
-                                          ea0, ed0)
-            b0 = ib[~use1]
-            h0[b0] = h_t[b0]
-            sm0[b0] = sm_t[b0]
-            f0[b0] = f_t[b0]
-            ea0[b0] = ea_t[b0]
-            ed0[b0] = ed_t[b0]
-            b1 = ib[use1]
-            h1[b1] = h_t[b1]
-            sm1[b1] = sm_t[b1]
-            f1[b1] = f_t[b1]
-            ea1[b1] = ea_t[b1]
-            ed1[b1] = ed_t[b1]
-
-        store.clock = clock0 + n
-        return self._staged_outcome(ranges, idx0, idx1, two_stage,
-                                    h0, sm0, f0, ea0, ed0,
-                                    h1, sm1, f1, ea1, ed1)
+            return self._staged_shared_epochs([call])[0]
 
     def access_many_staged_shared(
             self, calls: Sequence[StagedLaneCall]
@@ -2751,11 +2254,11 @@ class VectorBank:
         """Kernel body of :meth:`access_many_staged_shared`.
 
         Same-stream phase-1 replays are hoisted ahead of the per-plan
-        phase loop and fused lane-major (:func:`_replay_encoding_lanes`)
+        phase loop and fused lane-major (:func:`_tile_encoding_lanes`)
         — exact because lanes own disjoint store rows, every stamp
         window is explicit, and phase-1 ok-masks confine writes to
         rows no other phase shares.  Post-repartition rows run the
-        vectorized over-allotment drain per plan, as in the solo path.
+        vectorized over-allotment drain per plan.
         """
         results: List[Optional[StagedResult]] = [None] * len(calls)
         if not self.config.write_allocate or not self.caches:
@@ -2795,8 +2298,8 @@ class VectorBank:
         slots_of: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         enc_of: Dict[int, _StreamEncoding] = {}
 
-        # Per-call setup runs before any phase touches state, exactly
-        # as the single-call path sequences it.
+        # Per-call setup (flagging, drain eligibility, the phase
+        # disjointness check) runs before any phase touches state.
         plans: List[Tuple[int, StagedLaneCall, int, np.ndarray,
                           np.ndarray, np.ndarray, np.ndarray,
                           Optional[np.ndarray], np.ndarray, np.ndarray,
@@ -2837,7 +2340,7 @@ class VectorBank:
                     flagged &= ~drains_k
             flagged, replay = self._flag_replay_rows(
                 flagged, idx0a, sets, tg, slot0, idx1a, slot1,
-                call.two_stage, (call.lane,))
+                call.two_stage, call.lane)
             if drains_k is not None:
                 drains_k &= ~flagged
                 if not drains_k.any():
@@ -2850,7 +2353,9 @@ class VectorBank:
                 np.int64(S) + sets
             sel_a = call.two_stage & ~replay
             sel_b0 = ~call.two_stage & ~replay
-            # Same flat membership test as the single-call path.
+            # Phase disjointness via a flat row-membership table —
+            # cheaper than sorting both phases' rows to uniques and
+            # intersecting.
             in_a = np.zeros(store.num_slots * C * S, dtype=bool)
             in_a[krow0[sel_a & (cap0 > 0)]] = True
             if in_a[krow0[sel_b0 & (cap0 > 0)]].any() or \
@@ -2914,10 +2419,10 @@ class VectorBank:
             t0 = time.perf_counter()
             lenc = _tile_encoding_lanes(
                 enc, [plans[i][2] * S for i, _, _ in members])
-            _replay_encoding_lanes(lenc, ftags, fdirty, fcount, geo,
-                                   caps_v, h_v, ea_v, ed_v, ok=ok_v,
-                                   sector=fsector, stamp=fstamp,
-                                   stamp_vals=sv_v, sm_out=sm_v)
+            _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0,
+                             caps_v, h_v, ea_v, ed_v, ok=ok_v,
+                             sector=fsector, stamp=fstamp,
+                             stamp_vals=sv_v, sm_out=sm_v)
             self.replay_seconds += time.perf_counter() - t0
             self.lane_batched_rounds += 1
             self.shared_replays += L
@@ -3021,9 +2526,10 @@ class VectorBank:
 
             # Phase 3: single-stage probes + stage-1 probes of stage-0
             # misses, interleaved in stream order (per lane: the stream
-            # depends on this lane's stage-0 hits).  Drained rows run
-            # in passes between drain applications, exactly as in the
-            # solo staged path.
+            # depends on this lane's stage-0 hits).  At drained rows the
+            # over slot behaves as a plain LRU of its current occupancy,
+            # so its probes run in passes between drain applications,
+            # each pass capped at the occupancy it observes.
             p1k = call.two_stage & ~replay & ~h0
             ib = np.flatnonzero(sel_b0 | p1k)
             if ib.size or (dr is not None and dr[0].size):
@@ -3090,6 +2596,6 @@ class VectorBank:
                                               dr_pos[sel_t], ea0, ed0)
 
             results[k] = self._staged_outcome(
-                [call.lane], idx0a, idx1a, call.two_stage, h0, sm0, f0,
-                ea0, ed0, h1, sm1, f1, ea1, ed1)
+                call.lane, bool(ir.size), idx0a, idx1a, call.two_stage,
+                h0, sm0, f0, ea0, ed0, h1, sm1, f1, ea1, ed1)
         return results

@@ -1,7 +1,7 @@
 """Rule ``bare-except`` — no silent swallowing of exceptions.
 
 The engine's batched path falls back from the vectorized tag-store
-kernel to the per-access probe loop when an epoch's shape demands it;
+kernel to the serial per-access path when the bank declines an epoch;
 a ``try: ... except: pass`` around a kernel call would turn a genuine
 kernel bug into a silent (and slow, and possibly wrong) fallback that
 no differential test can distinguish from a legitimate decline — the
@@ -62,7 +62,7 @@ class BareExceptRule(Rule):
                    "silently discards the error")
     contract = ("a kernel bug must surface as a failure, never as a "
                 "silent fallback from the vectorized kernel to the "
-                "probe loop")
+                "serial path")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():

@@ -52,7 +52,7 @@ from ..cache.waycache import make_cache
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
 from ..core import sanitize as _sanitize
-from ..llc.base import LLCOrganization, RoutePlan
+from ..llc.base import LLCOrganization
 from ..memory.dram import DramSystem
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
@@ -96,15 +96,13 @@ class EngineParams:
     # Enable dominant-accessor page migration (related-work baseline:
     # a beyond-LLC optimization the paper argues is insufficient).
     page_migration: bool = False
-    # Use the batched epoch fast path when the run has no per-access
-    # side effects (no hardware coherence, migration or profiling); the
-    # engine transparently falls back to the per-access path otherwise.
+    # Back LRU LLCs with the vectorized tag store and resolve each
+    # epoch's probes with one stack-distance kernel call whenever the
+    # run has no per-access side effects (no hardware coherence,
+    # migration or per-access observers); the engine transparently runs
+    # the per-access path otherwise.  False selects the serial engine
+    # over plain SetAssociativeCache slices: the independent reference.
     batched: bool = True
-    # Back the LLC with the vectorized tag store so uniform batched
-    # epochs resolve every probe with one stack-distance kernel call;
-    # partitioned/sectored/scalar paths transparently use the
-    # OrderedDict model either way.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.request_bytes <= 0:
@@ -130,8 +128,8 @@ class EngineParams:
 
 
 #: What the driver answers a :class:`BankProbe` with: the bank call's
-#: result, or ``None`` when the bank declined (caller falls back to the
-#: per-access probe loop).
+#: result, or ``None`` when the bank declined (the engine reruns that
+#: epoch on the serial path and counts a demotion).
 ProbeOutcome = Union[BatchResult, StagedResult, None]
 
 #: The cooperative epoch protocol: :meth:`SimulationEngine.run_steps`
@@ -181,9 +179,8 @@ class BankProbe:
         """Shift a staged result's eviction indices back lane-local."""
         if staged is None or not self.base:
             return staged
-        return StagedResult(staged.hit_stage,
-                            staged.evicted_cache - self.base,
-                            staged.evicted_addr)
+        return staged._replace(evicted_cache=staged.evicted_cache
+                               - self.base)
 
     def invoke(self) -> ProbeOutcome:
         """Resolve this probe alone (the standalone-run driver)."""
@@ -191,14 +188,12 @@ class BankProbe:
             raise KernelSolveError("kernel.solve_error", key=self.fault_key)
         if self.kind == "grouped":
             return self.bank.access_many_grouped(
-                self.abs_idx0(), self.addrs, self.writes,
-                lanes=[self.lane])
+                self.abs_idx0(), self.addrs, self.writes, lane=self.lane)
         assert self.part0 is not None and self.two_stage is not None \
             and self.part1 is not None
         staged = self.bank.access_many_staged(
             self.addrs, self.writes, self.abs_idx0(), self.part0,
-            self.two_stage, self.abs_idx1(), self.part1,
-            lanes=[self.lane])
+            self.two_stage, self.abs_idx1(), self.part1, lane=self.lane)
         return self.localize(staged)
 
 
@@ -235,10 +230,10 @@ class SimulationEngine:
         self._bank_base = 0
         if llc_bank is not None:
             # Mount this engine's LLC as one lane of a shared bank.
-            if not (self.params.vectorized
+            if not (self.params.batched
                     and llc_cfg.replacement == "lru"):
                 raise ValueError(
-                    "a shared llc_bank requires vectorized=True and LRU "
+                    "a shared llc_bank requires batched=True and LRU "
                     "replacement")
             if llc_bank.config != llc_cfg:
                 raise ValueError(
@@ -255,7 +250,7 @@ class SimulationEngine:
             self.llc = [flat[c * chip_cfg.llc_slices:
                              (c + 1) * chip_cfg.llc_slices]
                         for c in range(config.num_chips)]
-        elif self.params.vectorized and llc_cfg.replacement == "lru":
+        elif self.params.batched and llc_cfg.replacement == "lru":
             self._llc_bank = VectorBank(
                 llc_cfg, [f"llc{c}.{s}" for c in range(config.num_chips)
                           for s in range(chip_cfg.llc_slices)])
@@ -475,19 +470,14 @@ class SimulationEngine:
 
         Yields a :class:`BankProbe` for each batched epoch's pending
         vector-bank invocation and expects the outcome back via
-        ``send`` (``None`` means the bank declined and the engine falls
-        back to its per-access probe loop).  A stacked driver
+        ``send`` (``None`` means the bank declined and the engine reruns
+        that epoch on the serial path).  A stacked driver
         multiplexes many engines' generators over shared banks; the
         control flow is byte-for-byte the one a standalone :meth:`run`
         executes, which is what keeps stacked lanes bit-identical.
         """
         self.stats.benchmark = benchmark
         base_violations = _sanitize.report().count
-        bank = self._llc_bank
-        if bank is not None:
-            base_rounds = bank.lane_batched_rounds
-            base_replay = bank.replay_seconds
-            base_set_replay = bank.set_replay_batches
         # Trace synthesis happens lazily while this loop pulls kernels
         # from the generator; bracket it so the probe/charge/other
         # breakdown covers the full run wall time.
@@ -507,17 +497,6 @@ class SimulationEngine:
         # raising error was contained upstream).
         self.stats.sanitizer_violations = \
             _sanitize.report().count - base_violations
-        if bank is not None:
-            # Kernel telemetry accrued while this lane ran.  On a
-            # standalone engine the bank is private so the deltas are
-            # exactly this run's; a stacked driver's lanes interleave on
-            # one shared bank, so there the per-lane windows overlap and
-            # the sweep-level truth lives in StackedTelemetry instead.
-            self.stats.lane_batched_rounds = \
-                bank.lane_batched_rounds - base_rounds
-            self.stats.replay_seconds = bank.replay_seconds - base_replay
-            self.stats.set_replay_batches = \
-                bank.set_replay_batches - base_set_replay
 
     def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
         # Organization hooks (begin/end epoch can repartition, the
@@ -649,25 +628,36 @@ class SimulationEngine:
 
     def _run_epoch(self, epoch: EpochTrace, kstats: KernelStats) -> ProbeGen:
         if self._fast_path_eligible():
-            yield from self._run_epoch_batched(epoch, kstats)
-            self.stats.fast_epochs += 1
-        else:
-            self._run_epoch_serial(epoch, kstats)
-            self.stats.slow_epochs += 1
+            resolved = yield from self._run_epoch_batched(epoch, kstats)
+            if resolved:
+                self.stats.fast_epochs += 1
+                return
+            # The bank declined at runtime; nothing but page homes (which
+            # the serial path re-resolves identically) was touched.
+            self.stats.demotions += 1
+        self._run_epoch_serial(epoch, kstats)
+        self.stats.slow_epochs += 1
 
     def _fast_path_eligible(self) -> bool:
-        """Whether the current epoch can take the batched fast path.
+        """Whether the current epoch can take the vectorized fast path.
 
         The fast path precomputes homes, route plans and traffic totals
-        with numpy; it is only safe when no component needs a per-access
-        side effect beyond the functional cache probes themselves:
-        hardware coherence (directory/MESI actions per write), page
-        migration (per-access observation), profiling organizations
-        without a batched observer and insertion-policy organizations
-        (LADM's per-access ``remote_allocate``) all force the serial
-        per-access path.
+        with numpy and resolves every LLC probe with one bank call; it
+        is only safe when no component needs a per-access side effect
+        beyond the functional cache probes themselves: hardware
+        coherence (directory/MESI actions per write), page migration
+        (per-access observation), profiling organizations without a
+        batched observer and insertion-policy organizations (LADM's
+        per-access ``remote_allocate``) all force the serial per-access
+        path.  So do the probe shapes the bank kernels do not cover: no
+        vector bank (non-LRU replacement), modeled L1s (the L1 filters
+        the LLC stream access by access), a no-write-allocate LLC, and
+        route plans with a non-allocating stage.  (Plans with more than
+        two stages cannot be built: ``RoutePlan`` rejects them.)
         """
-        if not self.params.batched:
+        if self._llc_bank is None or self.l1 is not None:
+            return False
+        if not self.config.chip.llc_slice.write_allocate:
             return False
         if self.migration is not None:
             return False
@@ -682,6 +672,12 @@ class SimulationEngine:
                 return False
         if hasattr(org, "remote_allocate"):
             return False
+        num_chips = self.config.num_chips
+        for requester in range(num_chips):
+            for home in range(num_chips):
+                stages = org.plan(requester, home).stages
+                if not all(stage.allocate for stage in stages):
+                    return False
         return True
 
     def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats
@@ -703,11 +699,11 @@ class SimulationEngine:
     # -- Batched epoch fast path -------------------------------------------
 
     def _run_epoch_batched(self, epoch: EpochTrace, kstats: KernelStats
-                           ) -> ProbeGen:
-        """Batched epoch execution.
+                           ) -> Generator[BankProbe, ProbeOutcome, bool]:
+        """Vectorized epoch execution; False if the bank declined it.
 
-        Functionally identical to :meth:`_run_epoch_serial`: the same L1
-        and LLC probes run in the same order (the caches are the only
+        Functionally identical to :meth:`_run_epoch_serial`: the same LLC
+        probes resolve in the same order (the caches are the only
         sequential state), while page-home resolution, route planning and
         every resource charge are precomputed or aggregated with numpy.
         All aggregated quantities are integer byte counts or sums of
@@ -715,13 +711,15 @@ class SimulationEngine:
         are bit-identical to the per-access path for the default
         parameters (and agree to float round-off for any others).
 
-        The bank invocations themselves are *yielded* as
-        :class:`BankProbe` requests rather than called inline, so the
-        same code path serves both standalone runs (the driver in
-        :meth:`run` invokes each probe immediately) and stacked runs
-        (the driver batches co-resident lanes into one call).
-        ``probe_seconds`` here covers only this engine's local prep; the
-        driver adds the invocation time it attributes to this lane.
+        The bank invocation itself is *yielded* as a :class:`BankProbe`
+        request rather than called inline, so the same code path serves
+        both standalone runs (the driver in :meth:`run` invokes each
+        probe immediately) and stacked runs (the driver batches
+        co-resident lanes into one call).  ``probe_seconds`` here covers
+        only this engine's local prep; the driver adds the invocation
+        time it attributes to this lane.  A declined probe (``None``)
+        returns False before anything is charged, and the caller reruns
+        the epoch serially.
         """
         prep_start = perf_counter()
         params = self.params
@@ -741,98 +739,78 @@ class SimulationEngine:
         plans = [org.plan(p // num_chips, p % num_chips)
                  for p in range(num_pairs)]
 
-        # Per-(requester, home) pair stage decomposition.
+        # Per-(requester, home) pair stage decomposition (one or two
+        # allocate-on-miss stages; see _fast_path_eligible).
         st0_chip = [plan.stages[0].chip for plan in plans]
         st0_part = [plan.stages[0].partition for plan in plans]
-        st0_alloc = [plan.stages[0].allocate for plan in plans]
-        st1 = [(plan.stages[1].chip, plan.stages[1].partition,
-                plan.stages[1].allocate) if len(plan.stages) > 1 else None
-               for plan in plans]
+        st1 = [(plan.stages[1].chip, plan.stages[1].partition)
+               if len(plan.stages) > 1 else None for plan in plans]
 
-        # Cache probes: the only sequentially-stateful work in the epoch.
-        # Uniform single-stage epochs over the vectorized tag store are
-        # resolved with one grouped stack-distance kernel call; everything
-        # else runs the per-access loop over a flat bound-method table.
-        llc = self.llc
+        # Cache probes: the only sequentially-stateful work in the epoch,
+        # resolved by one bank call — the grouped stack-distance kernel
+        # for uniform unpartitioned single-stage epochs, the staged
+        # solver for everything else.
         llc_slices = config.chip.llc_slices
         serve0_np = np.array(st0_chip, dtype=np.int64)[pair_np]
         idx0_np = serve0_np * llc_slices + slices_np
-        l1 = self.l1
-        uniform = (all(s is None for s in st1)
-                   and len(set(st0_part)) == 1 and len(set(st0_alloc)) == 1)
         two_stage = np.array([s is not None for s in st1],
                              dtype=bool)[pair_np]
         serve1 = np.array([s[0] if s is not None else 0 for s in st1],
                           dtype=np.int64)[pair_np]
-        batch: Optional[BatchResult] = None
-        staged: Optional[StagedResult] = None
         base = self._bank_base
         lane = (base, base + config.total_llc_slices)
+        assert self._llc_bank is not None
         # Route/plan prep above is neither a probe nor a charge; book it
         # under other_seconds so the breakdown stays near-exhaustive.
         self.stats.other_seconds += perf_counter() - prep_start
         probe_start = perf_counter()
-        if (uniform and l1 is None and self._llc_bank is not None
-                and st0_part[0] == UNPARTITIONED and st0_alloc[0]):
+        if all(s is None for s in st1) and \
+                all(p == UNPARTITIONED for p in st0_part):
             probe = BankProbe(
                 bank=self._llc_bank, kind="grouped", base=base, lane=lane,
                 addrs=addrs_np, writes=writes_np, idx0=idx0_np,
                 fault_key=org.name)
-            if org.profiling:
-                # Profiling slices are lane-private head/tail cuts that
-                # never match another lane's stream; resolving them
-                # inline keeps the stacked driver's round alignment (and
-                # hence stream sharing) intact for the shared epochs.
-                batch = cast(Optional[BatchResult], probe.invoke())
-                self.stats.probe_seconds += perf_counter() - probe_start
-            else:
-                self.stats.probe_seconds += perf_counter() - probe_start
-                batch = cast(Optional[BatchResult], (yield probe))
-            probe_start = perf_counter()
-        if batch is not None:
-            hs = np.where(batch.hits, np.int64(0), np.int64(-1))
-            self.stats.vector_epochs += 1
         else:
-            if (l1 is None and self._llc_bank is not None
-                    and self._staged_shape_ok(plans)):
-                part0_np = np.array(st0_part, dtype=np.int64)[pair_np]
-                part1_np = np.array(
-                    [s[1] if s is not None else 0 for s in st1],
-                    dtype=np.int64)[pair_np]
-                idx1_np = serve1 * llc_slices + slices_np
-                probe = BankProbe(
-                    bank=self._llc_bank, kind="staged", base=base,
-                    lane=lane, addrs=addrs_np, writes=writes_np,
-                    idx0=idx0_np, part0=part0_np, two_stage=two_stage,
-                    idx1=idx1_np, part1=part1_np, fault_key=org.name)
-                if org.profiling:
-                    # Same round-alignment rationale as the grouped
-                    # branch above.
-                    staged = cast(Optional[StagedResult], probe.invoke())
-                    self.stats.probe_seconds += perf_counter() - probe_start
-                else:
-                    self.stats.probe_seconds += perf_counter() - probe_start
-                    staged = cast(Optional[StagedResult], (yield probe))
-                probe_start = perf_counter()
-            if staged is not None:
-                hs = staged.hit_stage
-                self.stats.vector_epochs += 1
-            else:
-                hs, ev_serves, ev_addrs = self._probe_loop(
-                    epoch, uniform, idx0_np, serve0_np, addrs_np,
-                    writes_np, chips_np, slices_np, pair_np, st0_part,
-                    st0_alloc, st1)
-                self.stats.scalar_epochs += 1
-                if self._llc_bank is not None:
-                    # A vector bank exists but this epoch fell off it.
-                    self.stats.demotions += 1
+            probe = BankProbe(
+                bank=self._llc_bank, kind="staged", base=base, lane=lane,
+                addrs=addrs_np, writes=writes_np, idx0=idx0_np,
+                part0=np.array(st0_part, dtype=np.int64)[pair_np],
+                two_stage=two_stage,
+                idx1=serve1 * llc_slices + slices_np,
+                part1=np.array([s[1] if s is not None else 0 for s in st1],
+                               dtype=np.int64)[pair_np],
+                fault_key=org.name)
+        if org.profiling:
+            # Profiling slices are lane-private head/tail cuts that never
+            # match another lane's stream; resolving them inline keeps
+            # the stacked driver's round alignment (and hence stream
+            # sharing) intact for the shared epochs.
+            outcome = probe.invoke()
+        else:
+            self.stats.probe_seconds += perf_counter() - probe_start
+            outcome = yield probe
+            probe_start = perf_counter()
         self.stats.probe_seconds += perf_counter() - probe_start
+        if outcome is None:
+            return False
+        self.stats.vector_epochs += 1
+        if isinstance(outcome, StagedResult):
+            hs = outcome.hit_stage
+            ev_serves = outcome.evicted_cache // llc_slices
+            ev_addrs = outcome.evicted_addr
+            if outcome.set_replay:
+                self.stats.set_replay_batches += 1
+        else:
+            hs = np.where(outcome.hits, np.int64(0), np.int64(-1))
+            ev_serves = serve0_np[outcome.evicted_dirty]
+            ev_addrs = outcome.evicted_addr[outcome.evicted_dirty]
 
         # Everything below is pure accounting over the recorded outcomes.
         charge_start = perf_counter()
-        probed0 = hs != -2
+        # Every access probes stage 0 (no L1 filters this path).
+        probed0 = np.ones(n, dtype=bool)
         kstats.accesses += n
-        kstats.llc_lookups += int(probed0.sum())
+        kstats.llc_lookups += n
         kstats.llc_hits += int((hs >= 0).sum())
         req_np = params.request_bytes + \
             params.write_data_bytes * writes_np.astype(np.int64)
@@ -889,16 +867,7 @@ class SimulationEngine:
                                      writes_np, req_np, rsp, dedicated)
 
         # Dirty evictions collected during the probe phase.
-        if batch is not None:
-            dirty_sel = batch.evicted_dirty
-            if dirty_sel.any():
-                self._charge_eviction_writebacks(
-                    serve0_np[dirty_sel], batch.evicted_addr[dirty_sel])
-        elif staged is not None:
-            if staged.evicted_addr.size:
-                self._charge_eviction_writebacks(
-                    staged.evicted_cache // llc_slices, staged.evicted_addr)
-        elif ev_addrs:
+        if ev_addrs.size:
             self._charge_eviction_writebacks(ev_serves, ev_addrs)
 
         # Response origins (relative to the requesting chip).
@@ -925,125 +894,6 @@ class SimulationEngine:
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
         self.stats.charge_seconds += perf_counter() - charge_start
-
-    def _probe_loop(self, epoch: EpochTrace, uniform: bool,
-                    idx0_np: np.ndarray, serve0_np: np.ndarray,
-                    addrs_np: np.ndarray, writes_np: np.ndarray,
-                    chips_np: np.ndarray, slices_np: np.ndarray,
-                    pair_np: np.ndarray, st0_part: List[int],
-                    st0_alloc: List[bool], st1: List
-                    ) -> Tuple[np.ndarray, List[int], List[int]]:
-        """Per-access probe loop of the batched path.
-
-        The probe target (chip, slice) pair is precomputed as an index
-        into a flat bound-method table.  Returns the per-access hit
-        stage (-2: L1 read hit, -1: full miss, 0/1: LLC stage) plus the
-        (serving chip, address) pairs of every dirty eviction.
-        """
-        llc = self.llc
-        num_chips = self.config.num_chips
-        llc_slices = self.config.chip.llc_slices
-        n = len(epoch)
-        probe_fns = [llc[c][s].access for c in range(num_chips)
-                     for s in range(llc_slices)]
-        idx0_l = idx0_np.tolist()
-        chips_l = chips_np.tolist()
-        addrs_l = addrs_np.tolist()
-        writes_l = writes_np.tolist()
-        serve0_l = serve0_np.tolist()
-        l1 = self.l1
-        clusters_l = epoch.clusters.tolist() if l1 is not None else None
-        hit_stage = [-1] * n
-        ev_serves: List[int] = []
-        ev_addrs: List[int] = []
-        if uniform:
-            # Single-stage organizations with one partition/allocation
-            # policy (memory-side, sm-side): the tightest possible loop.
-            part0 = st0_part[0]
-            alloc0 = st0_alloc[0]
-            # Cache probes are the one sequentially-stateful phase; this
-            # loop only runs when the vectorized tag store cannot (L1s,
-            # partitions, no-allocate stages).
-            for i in range(n):  # repro: noqa(hot-loop)
-                addr = addrs_l[i]
-                w = writes_l[i]
-                if l1 is not None:
-                    l1_result = l1[chips_l[i]][clusters_l[i]].access(addr, w)
-                    if l1_result.hit and not w:
-                        hit_stage[i] = -2
-                        continue
-                try:
-                    result = probe_fns[idx0_l[i]](
-                        addr, w, partition=part0, allocate_on_miss=alloc0)
-                except PartitionFullError:
-                    continue
-                if result.hit:
-                    hit_stage[i] = 0
-                elif result.evicted_dirty:
-                    ev_serves.append(serve0_l[i])
-                    ev_addrs.append(result.evicted_addr)
-        else:
-            slices_l = slices_np.tolist()
-            pairs_l = pair_np.tolist()
-            # Two-stage/partitioned probes stay sequential for the same
-            # reason as the uniform branch above.
-            for i in range(n):  # repro: noqa(hot-loop)
-                chip = chips_l[i]
-                addr = addrs_l[i]
-                w = writes_l[i]
-                if l1 is not None:
-                    l1_result = l1[chip][clusters_l[i]].access(addr, w)
-                    if l1_result.hit and not w:
-                        hit_stage[i] = -2
-                        continue
-                sl = slices_l[i]
-                pid = pairs_l[i]
-                try:
-                    result = probe_fns[idx0_l[i]](
-                        addr, w, partition=st0_part[pid],
-                        allocate_on_miss=st0_alloc[pid])
-                except PartitionFullError:
-                    result = None
-                if result is not None:
-                    if result.hit:
-                        hit_stage[i] = 0
-                        continue
-                    if result.evicted_dirty:
-                        ev_serves.append(serve0_l[i])
-                        ev_addrs.append(result.evicted_addr)
-                second = st1[pid]
-                if second is None:
-                    continue
-                serve, part, alloc = second
-                try:
-                    result = llc[serve][sl].access(addr, w, partition=part,
-                                                   allocate_on_miss=alloc)
-                except PartitionFullError:
-                    continue
-                if result.hit:
-                    hit_stage[i] = 1
-                elif result.evicted_dirty:
-                    ev_serves.append(serve)
-                    ev_addrs.append(result.evicted_addr)
-
-        return np.array(hit_stage, dtype=np.int64), ev_serves, ev_addrs
-
-    @staticmethod
-    def _staged_shape_ok(plans: List[RoutePlan]) -> bool:
-        """Whether the epoch's route plans fit the staged vector solver.
-
-        The three-phase decomposition in
-        :meth:`VectorBank.access_many_staged` reproduces the probe loop
-        exactly for plans of at most two allocate-on-miss stages; the
-        solver itself verifies the runtime row-disjointness condition
-        and declines (returning ``None``) when it does not hold.
-        """
-        for plan in plans:
-            if len(plan.stages) > 2:
-                return False
-            for stage in plan.stages:
-                if not stage.allocate:
-                    return False
         return True
 
     def _batched_homes(self, epoch: EpochTrace) -> np.ndarray:
@@ -1206,13 +1056,11 @@ class SimulationEngine:
             self._charge_xbar_ports(side_r * ip + links, ip, True,
                                     req_r, rsp)
 
-    def _charge_eviction_writebacks(self, serves: List[int],
-                                    addrs: List[int]) -> None:
+    def _charge_eviction_writebacks(self, serves_np: np.ndarray,
+                                    addrs_np: np.ndarray) -> None:
         """Aggregate dirty-eviction write-backs collected by the fast path."""
         num_chips = self.config.num_chips
         wb = self.line_size + self.params.response_header_bytes
-        serves_np = np.asarray(serves, dtype=np.int64)
-        addrs_np = np.asarray(addrs, dtype=np.int64)
         channels = self._vectorized_channels(addrs_np)
         home_of = self.page_table._home.get
         shift = self.page_table._page_shift
@@ -1231,7 +1079,7 @@ class SimulationEngine:
             self.dram[g // channels_per_chip].charge_bulk(
                 g % channels_per_chip, wb * int(counts[g]), int(counts[g]),
                 is_write=True)
-        self.stats.dram_bytes += wb * len(addrs)
+        self.stats.dram_bytes += wb * len(addrs_np)
         remote = homes_np != serves_np
         if not remote.any():
             return

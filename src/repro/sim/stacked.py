@@ -20,18 +20,18 @@ exact control flow a standalone ``run()`` drives — so each lane's
 ``RunStats`` physics fields are bit-identical to its standalone
 ``simulate()`` run; only host telemetry (wall clock, probe timing,
 stacked counters) differs.  Lanes the stacked path cannot host in a
-shared bank (mismatched geometry, non-LRU replacement, unvectorized
-params) still run in the same cooperative drive with their own bank and
-are counted as ``solo_lanes``.
+shared bank (mismatched geometry, non-LRU replacement, serial
+``batched=False`` params) still run in the same cooperative drive with
+their own bank and are counted as ``solo_lanes``.
 
 Fault containment: an exception raised by one lane mid-drive (or an
 armed ``lane.raise``/``kernel.solve_error`` fault site, see
 :mod:`repro.resilience.faults`) *quarantines* that lane instead of
 killing the co-run — the surviving lanes finish the shared drive with
 their physics untouched, and each quarantined lane is then re-run solo
-through the ordinary ``simulate()`` path (demoted to the scalar engine
-when the vector kernel itself faulted), so one bad config degrades a
-group instead of aborting it.
+through the ordinary ``simulate()`` path (demoted to the serial
+``batched=False`` engine when the vector kernel itself faulted), so one
+bad config degrades a group instead of aborting it.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class StackedTelemetry:
     #: Lanes co-resident in a shared tag store (groups of >= 2).
     stacked_lanes: int = 0
     #: Lanes that could not share a bank (geometry mismatch, non-LRU,
-    #: unvectorized, or a singleton group) and ran on their own store.
+    #: serial params, or a singleton group) and ran on their own store.
     solo_lanes: int = 0
     #: Lanes that duplicated an earlier (organization, config) lane and
     #: copied its stats instead of simulating (no engine, no probes).
@@ -100,7 +100,7 @@ class StackedTelemetry:
     replay_seconds: float = 0.0
     set_replay_batches: int = 0
     #: Lane indices that faulted mid-drive and were re-run solo, and the
-    #: subset whose re-run was demoted to the scalar engine because the
+    #: subset whose re-run was demoted to the serial engine because the
     #: vector kernel itself faulted.
     quarantined_lanes: List[int] = field(default_factory=list)
     demoted_lanes: List[int] = field(default_factory=list)
@@ -204,8 +204,7 @@ def simulate_stacked(spec: BenchmarkSpec,
     for i in primaries:
         rc = run_cfgs[i]
         llc_cfg = rc.chip.llc_slice
-        if (resolved_params.vectorized and resolved_params.batched
-                and llc_cfg.replacement == "lru"):
+        if resolved_params.batched and llc_cfg.replacement == "lru":
             key: object = (llc_cfg, rc.num_chips, rc.chip.llc_slices)
         else:
             key = ("solo", i)
@@ -268,8 +267,9 @@ def simulate_stacked(spec: BenchmarkSpec,
     # Quarantined lanes re-run solo through the ordinary simulate()
     # path — same spec, config, scale and density — so their stats are
     # bit-identical to a standalone run by construction.  A lane whose
-    # fault came from the vector kernel is demoted to the scalar engine
-    # (the per-access probe loop), since its vector path is the thing
+    # fault came from the vector kernel is demoted to the serial engine
+    # (``batched=False``: per-access probes over plain
+    # SetAssociativeCache slices), since its vector path is the thing
     # that faulted.
     rerun_stats: Dict[int, RunStats] = {}
     for pos in sorted(faulted):
@@ -278,7 +278,7 @@ def simulate_stacked(spec: BenchmarkSpec,
         rerun_params = resolved_params
         if kernel_fault:
             rerun_params = dataclasses.replace(
-                resolved_params, vectorized=False)
+                resolved_params, batched=False)
         stats = simulate(spec, rerun_org[p], config=lane_bases[p],
                          scale=resolved_scale, accesses_per_epoch=density,
                          params=rerun_params, org_kwargs=org_kwargs)
@@ -516,7 +516,7 @@ def _invoke_group(probes: List[BankProbe]
     element-identical lane-local streams) and handed to the bank's
     shared entry point, which encodes each unique stream once and
     replays it per lane.  Per-lane ``None`` outcomes send just those
-    lanes to their per-access fallback.  Returns the per-probe stream
+    lanes' epochs to the serial path.  Returns the per-probe stream
     ids alongside the outcomes (``None`` for single-probe rounds).
     """
     started = perf_counter()

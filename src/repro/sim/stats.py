@@ -39,7 +39,6 @@ TELEMETRY_FIELDS = frozenset({
     "solve_seconds",
     "charge_seconds",
     "vector_epochs",
-    "scalar_epochs",
     "demotions",
     "stacked_lanes",
     "stacked_probe_calls",
@@ -47,8 +46,6 @@ TELEMETRY_FIELDS = frozenset({
     "lane_quarantined",
     "lane_demoted",
     "sanitizer_violations",
-    "lane_batched_rounds",
-    "replay_seconds",
     "other_seconds",
     "set_replay_batches",
     # StackedTelemetry counters (repro/sim/stacked.py).
@@ -59,6 +56,8 @@ TELEMETRY_FIELDS = frozenset({
     "bank_invocations",
     "shared_encodings",
     "shared_replays",
+    "lane_batched_rounds",
+    "replay_seconds",
     "quarantined_lanes",
     "demoted_lanes",
 })
@@ -124,7 +123,7 @@ class RunStats:
     fast_epochs: int = 0
     slow_epochs: int = 0
     # Wall-clock spent in the cache-probe phase of batched epochs and how
-    # many of those epochs resolved via the vectorized tag-store kernel.
+    # many epochs resolved via the vectorized tag-store kernel.
     probe_seconds: float = 0.0
     # Breakdown of the batched-epoch wall clock: ``solve_seconds`` is the
     # subset of ``probe_seconds`` spent inside tag-store bank solves (the
@@ -134,10 +133,9 @@ class RunStats:
     solve_seconds: float = 0.0
     charge_seconds: float = 0.0
     vector_epochs: int = 0
-    # Batched epochs that ran the per-access probe loop instead, and the
-    # subset that did so despite a vector bank being attached (a config
-    # silently falling off the vector path shows up here).
-    scalar_epochs: int = 0
+    # Epochs the bank declined at runtime and the engine reran on the
+    # serial path (counted in ``slow_epochs`` too): a config silently
+    # falling off the vector path shows up here.
     demotions: int = 0
     # Stacked-run telemetry: how many lanes shared this run's tag store
     # (0 for standalone runs and for lanes the stacked driver hosted in
@@ -160,20 +158,15 @@ class RunStats:
     # ``repro.core.sanitize``).  A nonzero count survives even when the
     # raising ``SanitizerError`` was absorbed by a containment layer.
     sanitizer_violations: int = 0
-    # Lane-batched replay telemetry: rounds in which this lane's replay
-    # was fused into one lane-major kernel call with other same-stream
-    # lanes, and wall-clock spent inside replay kernel passes this run
-    # attributed to this lane (a subset of ``solve_seconds``).
-    lane_batched_rounds: int = 0
-    replay_seconds: float = 0.0
     # Wall-clock of the batched-epoch pipeline that the
     # probe/solve/charge brackets did not capture (directly measured,
     # not a computed residual) — the timing-breakdown invariant bounds
     # this at 5% of the run.
     other_seconds: float = 0.0
-    # Epochs (or row batches) that demoted rows to the stream-order
-    # ``_SetReplay`` interpreter; stays 0 when the vectorized
-    # over-allotment drain covers every repartition epoch.
+    # This run's epochs that demoted rows to the stream-order
+    # ``_SetReplay`` interpreter (counted per lane, from the bank's
+    # outcome); stays 0 when the vectorized over-allotment drain covers
+    # every repartition epoch.
     set_replay_batches: int = 0
 
     @property
@@ -258,7 +251,6 @@ class RunStats:
             "fast_epochs": self.fast_epochs,
             "slow_epochs": self.slow_epochs,
             "vector_epochs": self.vector_epochs,
-            "scalar_epochs": self.scalar_epochs,
             "demotions": self.demotions,
             "probe_seconds": self.probe_seconds,
             "solve_seconds": self.solve_seconds,
@@ -269,8 +261,6 @@ class RunStats:
             "lane_quarantined": self.lane_quarantined,
             "lane_demoted": self.lane_demoted,
             "sanitizer_violations": self.sanitizer_violations,
-            "lane_batched_rounds": self.lane_batched_rounds,
-            "replay_seconds": self.replay_seconds,
             "other_seconds": self.other_seconds,
             "set_replay_batches": self.set_replay_batches,
         }

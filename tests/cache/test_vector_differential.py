@@ -1,11 +1,13 @@
-"""Differential tests: VectorCache vs the OrderedDict reference model.
+"""Differential tests: the vectorized backend vs the OrderedDict model.
 
 Random address streams over a matrix of geometries (pow2 and non-pow2
 set counts, associativities, write mixes, write-back and write-through)
 run through both :class:`SetAssociativeCache` and the vectorized
-backend; every per-access outcome (hit/miss, eviction address, eviction
-dirty bit), the final ``CacheStats`` and the final resident state
-(including LRU order) must be identical.
+backend — batches through a one-cache :class:`VectorBank`, scalar
+probes through its :class:`VectorCache` slice; every per-access outcome
+(hit/miss, eviction address, eviction dirty bit), the final
+``CacheStats`` and the final resident state (including LRU order) must
+be identical.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.cache.vector import (
     BatchResult,
     GroupedLaneCall,
     StagedLaneCall,
+    StagedResult,
     VectorBank,
     VectorCache,
 )
@@ -77,14 +80,47 @@ def final_state(cache):
             for addr, line in cache.resident_lines()]
 
 
+def one_cache(config):
+    """A one-cache bank and its slice: batches go through the bank."""
+    bank = VectorBank(config, ["vec"])
+    return bank, bank.caches[0]
+
+
+def bank_batch(bank, addrs, writes, partition=UNPARTITIONED):
+    """One batch through a one-cache bank, or None if the bank declines.
+
+    Unpartitioned caches take the grouped kernel (a BatchResult);
+    partitioned ones a single-stage staged call (a StagedResult).
+    """
+    n = len(addrs)
+    zeros = np.zeros(n, dtype=np.int64)
+    if bank.caches[0].partition_ways is None:
+        return bank.access_many_grouped(zeros, addrs, writes)
+    return bank.access_many_staged(
+        addrs, writes, zeros, np.full(n, partition, dtype=np.int64),
+        np.zeros(n, dtype=bool), zeros, zeros)
+
+
 def assert_identical(ref_out, vec_out, ref_cache, vec_cache):
-    np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
-    np.testing.assert_array_equal(ref_out.evicted_addr, vec_out.evicted_addr)
-    np.testing.assert_array_equal(ref_out.evicted_dirty,
-                                  vec_out.evicted_dirty)
-    if vec_out.sector_miss is not None:
-        np.testing.assert_array_equal(ref_out.sector_miss,
-                                      vec_out.sector_miss)
+    assert vec_out is not None
+    if isinstance(vec_out, StagedResult):
+        # Staged results carry hit stages and dirty evictions only; the
+        # stats comparison below covers clean evictions.
+        np.testing.assert_array_equal(np.where(ref_out.hits, 0, -1),
+                                      vec_out.hit_stage)
+        dirty = ref_out.evicted_dirty
+        np.testing.assert_array_equal(ref_out.evicted_addr[dirty],
+                                      vec_out.evicted_addr)
+        assert not vec_out.evicted_cache.any()
+    else:
+        np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
+        np.testing.assert_array_equal(ref_out.evicted_addr,
+                                      vec_out.evicted_addr)
+        np.testing.assert_array_equal(ref_out.evicted_dirty,
+                                      vec_out.evicted_dirty)
+        if vec_out.sector_miss is not None:
+            np.testing.assert_array_equal(ref_out.sector_miss,
+                                          vec_out.sector_miss)
     assert ref_cache.stats == vec_cache.stats
     assert final_state(ref_cache) == final_state(vec_cache)
 
@@ -96,12 +132,12 @@ def test_vector_matches_reference(num_sets, assoc, write_frac):
                                 + int(write_frac * 10))
     config = make_config(num_sets, assoc)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     # Several batches so later ones start from warm pre-batch state.
     for n in (257, 64, 1, 503, 1024):
         addrs, writes = random_stream(rng, num_sets, assoc, n, write_frac)
         ref_out = reference_outcomes(ref, addrs, writes)
-        vec_out = vec.access_many(addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
         assert_identical(ref_out, vec_out, ref, vec)
 
 
@@ -109,11 +145,11 @@ def test_vector_matches_reference_write_through():
     rng = np.random.default_rng(7)
     config = make_config(48, 8, write_back=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     for n in (300, 300):
         addrs, writes = random_stream(rng, 48, 8, n, 0.5)
         assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+                         bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_single_set_chunked_groups():
@@ -121,10 +157,10 @@ def test_single_set_chunked_groups():
     rng = np.random.default_rng(11)
     config = make_config(1, 8)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     addrs, writes = random_stream(rng, 1, 8, 700, 0.4)
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_huge_tags_use_lexsort_path():
@@ -132,10 +168,10 @@ def test_huge_tags_use_lexsort_path():
     rng = np.random.default_rng(13)
     config = make_config(64, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     addrs, writes = random_stream(rng, 64, 4, 400, 0.3, base=1 << 58)
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     bank_batch(bank, addrs, writes), ref, vec)
 
 
 def test_scalar_interludes_stay_bit_identical():
@@ -143,11 +179,11 @@ def test_scalar_interludes_stay_bit_identical():
     rng = np.random.default_rng(17)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     for round_ in range(4):
         addrs, writes = random_stream(rng, 16, 4, 200, 0.3)
         assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+                         bank_batch(bank, addrs, writes), ref, vec)
         # Scalar interlude mid-stream.
         addrs, writes = random_stream(rng, 16, 4, 50, 0.3)
         for i in range(len(addrs)):
@@ -166,7 +202,7 @@ def test_partitioned_batches_match_reference():
     rng = np.random.default_rng(19)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     for ways in ({0: 2, 1: 2}, {0: 1, 1: 3}, {0: 3, 1: 1}):
         ref.set_partition(ways)
         vec.set_partition(ways)
@@ -175,16 +211,23 @@ def test_partitioned_batches_match_reference():
             addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
-    # Unpartitioning: resident lines keep their partition ids, and the
-    # batch path must keep honouring them until those lines drain.
+    # Unpartitioning: resident lines keep their partition ids, so the
+    # grouped kernel declines while foreign-slot lines remain and the
+    # scalar path (what the engine reruns) must keep honouring them.
     ref.set_partition(None)
     vec.set_partition(None)
+    declined = 0
     for _ in range(3):
         addrs, writes = random_stream(rng, 16, 4, 150, 0.4)
-        assert_identical(reference_outcomes(ref, addrs, writes),
-                         vec.access_many(addrs, writes), ref, vec)
+        ref_out = reference_outcomes(ref, addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
+        if vec_out is None:
+            declined += 1
+            vec_out = reference_outcomes(vec, addrs, writes)
+        assert_identical(ref_out, vec_out, ref, vec)
+    assert declined
 
 
 def test_partitioned_batch_scalar_interleaved():
@@ -192,7 +235,7 @@ def test_partitioned_batch_scalar_interleaved():
     rng = np.random.default_rng(37)
     config = make_config(12, 3)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     ref.set_partition({0: 2, 1: 1})
     vec.set_partition({0: 2, 1: 1})
     for round_ in range(3):
@@ -200,7 +243,7 @@ def test_partitioned_batch_scalar_interleaved():
             addrs, writes = random_stream(rng, 12, 3, 120, 0.4)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
         addrs, writes = random_stream(rng, 12, 3, 40, 0.4)
         for i in range(len(addrs)):
@@ -220,7 +263,7 @@ def test_partition_full_batches_match_reference():
     rng = np.random.default_rng(41)
     config = make_config(16, 4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     ways = {0: 3, 1: 1, 2: 0}
     ref.set_partition(ways)
     vec.set_partition(ways)
@@ -228,7 +271,7 @@ def test_partition_full_batches_match_reference():
         addrs, writes = random_stream(rng, 16, 4, 100, 0.4)
         assert_identical(
             reference_outcomes(ref, addrs, writes, partition=partition),
-            vec.access_many(addrs, writes, partition=partition),
+            bank_batch(bank, addrs, writes, partition=partition),
             ref, vec)
     # A partition id absent from the map also raises in both models.
     with pytest.raises(PartitionFullError):
@@ -240,12 +283,12 @@ def test_partition_full_batches_match_reference():
 
 def test_zero_way_partition_records_miss_without_eviction():
     config = make_config(8, 2)
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     vec.set_partition({0: 2, 7: 0})
-    out = vec.access_many(np.arange(4, dtype=np.int64) * LINE,
-                          np.zeros(4, dtype=bool), partition=7)
-    assert not out.hits.any()
-    assert (out.evicted_addr == -1).all()
+    out = bank_batch(bank, np.arange(4, dtype=np.int64) * LINE,
+                     np.zeros(4, dtype=bool), partition=7)
+    assert (out.hit_stage == -1).all()
+    assert out.evicted_addr.size == 0
     assert vec.stats.accesses == 4
     assert vec.stats.fills == 0
 
@@ -291,10 +334,10 @@ def test_flush_invalidate_probe_native_paths():
     rng = np.random.default_rng(29)
     config = make_config(12, 3)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     addrs, writes = random_stream(rng, 12, 3, 200, 0.5)
     reference_outcomes(ref, addrs, writes)
-    vec.access_many(addrs, writes)
+    bank_batch(bank, addrs, writes)
     for addr in addrs[:40]:
         assert ref.probe(int(addr)) == vec.probe(int(addr))
     assert ref.occupancy() == vec.occupancy()
@@ -317,11 +360,11 @@ def test_sectored_batches_match_reference(num_sets, assoc, write_frac):
     rng = np.random.default_rng(num_sets * 100 + assoc + int(write_frac * 10))
     config = make_config(num_sets, assoc, sectored=True, sectors_per_line=4)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     for n in (257, 64, 503):
         addrs, writes = random_stream(rng, num_sets, assoc, n, write_frac)
         ref_out = reference_outcomes(ref, addrs, writes)
-        vec_out = vec.access_many(addrs, writes)
+        vec_out = bank_batch(bank, addrs, writes)
         assert vec_out.sector_miss is not None
         assert_identical(ref_out, vec_out, ref, vec)
     assert ref.stats.sector_misses == vec.stats.sector_misses
@@ -343,9 +386,9 @@ def test_sector_miss_on_tag_hit():
         assert cache.stats.sector_misses == 1
         assert cache.stats.fills == 1  # sector miss does not refill
     # And the same sequence through the batch path.
-    vec = VectorCache(config, "vec2")
-    out = vec.access_many(np.array([0, 0, 2 * sector], dtype=np.int64),
-                          np.array([False, True, False]))
+    bank, vec = one_cache(config)
+    out = bank_batch(bank, np.array([0, 0, 2 * sector], dtype=np.int64),
+                     np.array([False, True, False]))
     assert out.sector_miss is not None
     np.testing.assert_array_equal(out.hits, [False, True, False])
     np.testing.assert_array_equal(out.sector_miss, [False, False, True])
@@ -357,7 +400,7 @@ def test_sectored_partitioned_with_scalar_interludes():
     rng = np.random.default_rng(43)
     config = make_config(16, 4, sectored=True, sectors_per_line=2)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     ref.set_partition({0: 3, 1: 1})
     vec.set_partition({0: 3, 1: 1})
     for round_ in range(3):
@@ -365,7 +408,7 @@ def test_sectored_partitioned_with_scalar_interludes():
             addrs, writes = random_stream(rng, 16, 4, 150, 0.3)
             assert_identical(
                 reference_outcomes(ref, addrs, writes, partition=partition),
-                vec.access_many(addrs, writes, partition=partition),
+                bank_batch(bank, addrs, writes, partition=partition),
                 ref, vec)
         addrs, writes = random_stream(rng, 16, 4, 30, 0.3)
         for i in range(len(addrs)):
@@ -378,19 +421,21 @@ def test_sectored_partitioned_with_scalar_interludes():
 
 
 def test_scalar_fallback_counts_partition_full_misses():
-    """Regression: `_access_many_scalar` must count PartitionFullError
+    """Scalar probes of a zero-way partition count PartitionFullError
     accesses as misses without fills, exactly like the scalar model."""
     config = make_config(8, 2, write_allocate=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     ref.set_partition({0: 2, 1: 0})
     vec.set_partition({0: 2, 1: 0})
     addrs = np.arange(6, dtype=np.int64) * LINE
     writes = np.zeros(6, dtype=bool)
-    # write_allocate=False routes access_many through the scalar fallback;
-    # reads to the zero-way partition raise PartitionFullError inside it.
+    # write_allocate=False makes the bank decline the batch, so the
+    # stream runs as scalar probes (as the serial engine issues them);
+    # reads to the zero-way partition raise PartitionFullError there.
+    assert bank_batch(bank, addrs, writes, partition=1) is None
     ref_out = reference_outcomes(ref, addrs, writes, partition=1)
-    vec_out = vec.access_many(addrs, writes, partition=1)
+    vec_out = reference_outcomes(vec, addrs, writes, partition=1)
     np.testing.assert_array_equal(ref_out.hits, vec_out.hits)
     np.testing.assert_array_equal(ref_out.evicted_addr, vec_out.evicted_addr)
     assert not vec_out.hits.any()
@@ -410,7 +455,7 @@ def test_vector_cache_rejects_unsupported_configs():
 
 def _staged_reference(refs, addrs, writes, idx0, part0, two_stage, idx1,
                       part1):
-    """Emulate the engine's two-stage probe loop on scalar caches."""
+    """The serial engine's two-stage probes, on scalar caches."""
     n = len(addrs)
     hs = np.full(n, -1, dtype=np.int64)
     ev_cache0, ev_addr0, ev_cache1, ev_addr1 = [], [], [], []
@@ -443,8 +488,8 @@ def _staged_reference(refs, addrs, writes, idx0, part0, two_stage, idx1,
 
 @pytest.mark.parametrize("sectored", [False, True])
 def test_bank_staged_matches_probe_loop(sectored):
-    """The three-phase staged solver == the scalar two-stage probe loop,
-    across repartitions (over-allotment replay) and a zero-way epoch."""
+    """The three-phase staged solver == scalar two-stage probes, across
+    repartitions (over-allotment replay) and a zero-way epoch."""
     rng = np.random.default_rng(47)
     num_caches = 4
     num_sets = 16
@@ -486,13 +531,19 @@ def test_bank_staged_matches_probe_loop(sectored):
 
 
 def test_no_write_allocate_uses_scalar_path():
+    """The bank declines no-write-allocate batches (grouped and staged);
+    the scalar path the engine falls back to stays bit-identical."""
     rng = np.random.default_rng(31)
     config = make_config(16, 4, write_allocate=False)
     ref = SetAssociativeCache(config, "ref")
-    vec = VectorCache(config, "vec")
+    bank, vec = one_cache(config)
     addrs, writes = random_stream(rng, 16, 4, 300, 0.6)
+    assert bank_batch(bank, addrs, writes) is None
+    vec.set_partition({0: 4})
+    assert bank_batch(bank, addrs, writes) is None
+    vec.set_partition(None)
     assert_identical(reference_outcomes(ref, addrs, writes),
-                     vec.access_many(addrs, writes), ref, vec)
+                     reference_outcomes(vec, addrs, writes), ref, vec)
 
 
 # -- Shared reuse encodings (stacked lanes over one stream) -------------------
@@ -567,7 +618,7 @@ def test_grouped_shared_distinct_streams_stay_isolated():
 def test_staged_shared_mixed_partition_caps_over_one_stream():
     """One stream, per-lane way splits: the shared encoding is replayed
     with each lane's capacity vector and stays bit-identical to the
-    per-lane staged path (which is itself pinned to the probe loop)."""
+    per-lane staged path (which is itself pinned to scalar probes)."""
     rng = np.random.default_rng(71)
     num_lanes, spl, num_sets = 3, 4, 16
     config = make_config(num_sets, 4)

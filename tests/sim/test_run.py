@@ -122,7 +122,7 @@ class TestTimingBreakdown:
             iterations=1, seed=11)
         stats = simulate(spec, org, scale=1.0 / 64,
                          accesses_per_epoch=2048)
-        assert stats.scalar_epochs == 0
+        assert stats.slow_epochs == 0
         covered = (stats.probe_seconds + stats.charge_seconds
                    + stats.other_seconds)
         assert stats.wall_seconds > 0.0
@@ -130,7 +130,4 @@ class TestTimingBreakdown:
             f"breakdown covers {covered / stats.wall_seconds:.1%}")
         # solve_seconds is the bank-invocation share of probe_seconds.
         assert 0.0 <= stats.solve_seconds <= stats.probe_seconds
-        # replay_seconds is spent inside the solve (shared-stream runs
-        # only; a standalone bank accrues it on its shared entry points).
-        assert stats.replay_seconds >= 0.0
         assert stats.other_seconds > 0.0

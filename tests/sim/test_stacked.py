@@ -18,8 +18,9 @@ from repro.sim import (
     simulate_stacked,
 )
 from repro.sim.run import scaled_config
-from repro.sim.stats import TELEMETRY_FIELDS
+from repro.sim.stats import TELEMETRY_FIELDS, RunStats
 from repro.workloads import BenchmarkSpec, KernelSpec, PhaseSpec
+from repro.workloads.suite import get
 
 SCALE = 1.0 / 64
 DENSITY = 512
@@ -76,9 +77,9 @@ class TestDifferentialMatrix:
         assert result.telemetry.stacked_lanes == 0
         assert result.telemetry.solo_lanes == 1
 
-    def test_unvectorized_lanes_run_solo_but_identical(self):
+    def test_serial_lanes_run_solo_but_identical(self):
         spec = tiny_spec(name="stacked-scalar")
-        params = EngineParams(vectorized=False)
+        params = EngineParams(batched=False)
         orgs = ["memory-side", "sm-side"]
         result = simulate_stacked(spec, orgs, scale=SCALE,
                                   accesses_per_epoch=DENSITY, params=params)
@@ -235,10 +236,10 @@ class TestLaneBatchedReplay:
     The differential matrix above exercises mid-stream repartitions,
     shared encodings and sectored lanes separately; this class stacks
     all three into the *same* rounds and asserts the sweep never leaves
-    the vectorized path — ``lane_batched_rounds`` counts fused kernel
-    passes and ``set_replay_batches`` stays zero because the
-    occupancy-surplus drain absorbs the over-allotment that used to
-    demote whole rows to the ``_SetReplay`` interpreter.
+    the vectorized path — ``StackedTelemetry.lane_batched_rounds``
+    counts fused kernel passes and ``set_replay_batches`` stays zero
+    because the occupancy-surplus drain absorbs the over-allotment that
+    used to demote whole rows to the ``_SetReplay`` interpreter.
     """
 
     def test_repartition_with_shared_and_sectored_lanes_in_one_round(self):
@@ -268,14 +269,12 @@ class TestLaneBatchedReplay:
         initial = config.chip.llc_slice.associativity // 2
         assert stacked_org.remote_ways != initial
         # ...and the whole sweep still resolved on fused kernel passes:
-        # lane-batched rounds fired in every lane (both banks), the
-        # stream-order interpreter never.
+        # lane-batched rounds fired, the stream-order interpreter never.
         assert tele.lane_batched_rounds > 0
         assert tele.set_replay_batches == 0
         assert tele.shared_encodings > 0
         for stats in result.stats:
             assert stats.set_replay_batches == 0
-            assert stats.lane_batched_rounds > 0
         solo_orgs = ["memory-side", "sm-side",
                      make_organization("dynamic", config), "static", "sac",
                      make_organization("static", sconfig,
@@ -293,14 +292,33 @@ class TestLaneBatchedReplay:
         spec = tiny_spec(name="solo-drain", epochs=8, iterations=2)
         stats = standalone(spec, "dynamic")
         assert stats.set_replay_batches == 0
-        assert stats.scalar_epochs == 0
+        assert stats.slow_epochs == 0
         assert stats.demotions == 0
 
+    def test_interpreter_batches_are_counted_per_lane(self):
+        # BP's dynamic lane sends flagged sets through the stream-order
+        # interpreter; its co-resident lanes never do.  Each lane must
+        # report its own count (its standalone value), not the shared
+        # bank's total.
+        spec = get("BP")
+        result = simulate_stacked(spec, list(ORGANIZATIONS), scale=SCALE,
+                                  accesses_per_epoch=DENSITY)
+        assert result.telemetry.stacked_lanes == len(ORGANIZATIONS)
+        assert result.telemetry.set_replay_batches > 0
+        for org, stats in zip(ORGANIZATIONS, result.stats):
+            solo = standalone(spec, org)
+            assert stats.set_replay_batches == solo.set_replay_batches, org
+            assert (stats.set_replay_batches > 0) == (org == "dynamic"), org
+
     def test_lane_kernel_fields_are_registered_telemetry(self):
+        # The fused-pass counters are sweep-level: StackedTelemetry
+        # carries them, per-lane RunStats does not.
         assert "lane_batched_rounds" in TELEMETRY_FIELDS
         assert "replay_seconds" in TELEMETRY_FIELDS
         assert "set_replay_batches" in TELEMETRY_FIELDS
         assert "other_seconds" in TELEMETRY_FIELDS
+        assert not hasattr(RunStats(), "lane_batched_rounds")
+        assert not hasattr(RunStats(), "replay_seconds")
 
 
 class TestDuplicateLanes:
@@ -403,7 +421,7 @@ class TestLaneQuarantine:
     def test_kernel_fault_demotes_solo_rerun_to_scalar(self):
         # An unbounded kernel.solve_error on one lane faults the shared
         # group call; the solo fallback pins it on the static lane, and
-        # its re-run must demote to the scalar engine (the vector path
+        # its re-run must demote to the serial engine (the vector path
         # is the thing that faulted) yet stay bit-identical.
         spec = tiny_spec(name="stacked-quar-kern")
         orgs = ["memory-side", "static", "sm-side"]
@@ -414,6 +432,8 @@ class TestLaneQuarantine:
         assert result.telemetry.demoted_lanes == [1]
         assert result.stats[1].lane_quarantined == 1
         assert result.stats[1].lane_demoted == 1
+        assert result.stats[1].fast_epochs == 0
+        assert result.stats[1].slow_epochs > 0
         for i, org in enumerate(orgs):
             solo = standalone(spec, org)
             assert result.stats[i].comparable_dict() == \
