@@ -69,12 +69,6 @@ class RunnerTelemetry:
     #: Wall seconds spent *inside* ``simulate``/``simulate_stacked``
     #: (per-lane simulator time, summed over fresh results).
     sim_seconds: float = 0.0
-    #: Phase breakdown of the fresh-simulation wall clock, summed over
-    #: the per-run ``RunStats`` buckets: tag-store solves vs the
-    #: accounting tail of batched epochs (see ``RunStats.solve_seconds``
-    #: / ``charge_seconds``).
-    solve_seconds: float = 0.0
-    charge_seconds: float = 0.0
     #: Whole-matrix wall clock of every ``run_matrix`` call, including
     #: cache-hit resolution and dispatch overhead.  Kept separate from
     #: ``sim_seconds`` because the two measure different things (the
@@ -112,9 +106,6 @@ class RunnerTelemetry:
                 f"{self.disk_hits} disk hits, {self.disk_stores} disk "
                 f"stores in {self.sim_seconds:.1f}s sim "
                 f"({self.matrix_seconds:.1f}s matrix)")
-        if self.solve_seconds or self.charge_seconds:
-            line += (f", {self.solve_seconds:.1f}s solve + "
-                     f"{self.charge_seconds:.1f}s charge")
         if self.stacked_groups:
             line += (f", {self.stacked_lanes} lanes stacked in "
                      f"{self.stacked_groups} groups")
@@ -479,8 +470,6 @@ def _install_single(spec: BenchmarkSpec, organization: str, stats: RunStats,
     _TELEMETRY.simulated += 1
     _TELEMETRY.demotions += stats.demotions
     _TELEMETRY.sim_seconds += stats.wall_seconds
-    _TELEMETRY.solve_seconds += stats.solve_seconds
-    _TELEMETRY.charge_seconds += stats.charge_seconds
     _finish_pair(spec, organization, stats, config, scale,
                  accesses_per_epoch, params, disk_cache)
     results[(spec.name, organization)] = stats
@@ -508,8 +497,6 @@ def _install_stacked(spec: BenchmarkSpec, organizations: List[str],
     for organization, stats in zip(organizations, stacked.stats):
         _TELEMETRY.simulated += 1
         _TELEMETRY.demotions += stats.demotions
-        _TELEMETRY.solve_seconds += stats.solve_seconds
-        _TELEMETRY.charge_seconds += stats.charge_seconds
         _finish_pair(spec, organization, stats, config, scale,
                      accesses_per_epoch, params, disk_cache)
         results[(spec.name, organization)] = stats

@@ -73,7 +73,6 @@ exactly because the kernel is equivalent to replaying the chunk.
 
 from __future__ import annotations
 
-import time
 from typing import (
     Dict,
     Iterator,
@@ -1604,10 +1603,8 @@ class VectorBank:
         self.shared_encodings = 0
         self.shared_replays = 0
         #: Rounds resolved by one lane-major batched replay call (>= 2
-        #: lanes folded into a single kernel pass) and the wall seconds
-        #: spent inside replay kernel passes (host telemetry).
+        #: lanes folded into a single kernel pass; host telemetry).
         self.lane_batched_rounds = 0
-        self.replay_seconds = 0.0
 
     @property
     def set_replay_batches(self) -> int:
@@ -1730,7 +1727,6 @@ class VectorBank:
             batched = n > 0 and len(members) > 1 and \
                 len(set(lanes_lo)) == len(lanes_lo)
             ftags, fdirty, fcount, fsector, fstamp = store.flat()
-            t0 = time.perf_counter()
             if batched:
                 L = len(members)
                 lenc = _tile_encoding_lanes(enc, [lo * S
@@ -1778,7 +1774,6 @@ class VectorBank:
                     self.shared_replays += 1
                     results[k] = BatchResult(hits, ev_addr, ev_dirty,
                                              sm_out)
-            self.replay_seconds += time.perf_counter() - t0
             for k in members:
                 self._charge_lane_stats(calls[k].lane, calls[k].cache_idx,
                                         results[k])
@@ -2416,14 +2411,12 @@ class VectorBank:
             ed_v = np.zeros(L * m, dtype=bool)
             sm_v = np.zeros(L * m, dtype=bool) if fsector is not None \
                 else None
-            t0 = time.perf_counter()
             lenc = _tile_encoding_lanes(
                 enc, [plans[i][2] * S for i, _, _ in members])
             _replay_encoding(lenc, ftags, fdirty, fcount, geo, 0,
                              caps_v, h_v, ea_v, ed_v, ok=ok_v,
                              sector=fsector, stamp=fstamp,
                              stamp_vals=sv_v, sm_out=sm_v)
-            self.replay_seconds += time.perf_counter() - t0
             self.lane_batched_rounds += 1
             self.shared_replays += L
             for j, (i, ia2, okv) in enumerate(members):
@@ -2489,12 +2482,10 @@ class VectorBank:
                     ftags, fdirty, fcount, fsector, fstamp = store.flat()
                     sm_t = np.zeros(m, dtype=bool) \
                         if fsector is not None else None
-                    t0 = time.perf_counter()
                     _replay_encoding(enc, ftags, fdirty, fcount, geo,
                                      lo * S, cap0[ia2], h_t, ea_t, ed_t,
                                      ok=okv, sector=fsector, stamp=fstamp,
                                      stamp_vals=sv[ia2], sm_out=sm_t)
-                    self.replay_seconds += time.perf_counter() - t0
                     self.shared_replays += 1
                     h0[ia2] = h_t
                     ea0[ia2] = ea_t

@@ -57,11 +57,6 @@ class EnvFlag:
 #: Every environment flag the package reads, alphabetical by name.
 FLAGS: Tuple[EnvFlag, ...] = (
     EnvFlag(
-        "REPRO_BENCH_SMOKE", "",
-        "Truthy: `benchmarks/test_throughput.py` asserts only "
-        "machine-independent floors (same-run speedups, zero demotions) "
-        "and skips the absolute reference-machine rate comparisons."),
-    EnvFlag(
         "REPRO_CACHE_DIR", ".repro_cache",
         "Directory of the on-disk result cache (and the lint finding "
         "cache under `<dir>/lint/`); the CLI's `--cache-dir` overrides "
@@ -80,7 +75,7 @@ FLAGS: Tuple[EnvFlag, ...] = (
         "Worker-process count for parallel matrices (`run_matrix`); the "
         "CLI's `--jobs` overrides it. Unset or empty runs serial."),
     EnvFlag(
-        "REPRO_RETRIES", "1",
+        "REPRO_RETRIES", "2",
         "How many times the supervised runner re-queues a task whose "
         "worker crashed or timed out before quarantining it."),
     EnvFlag(

@@ -25,7 +25,6 @@ sharers in a directory and invalidates replicas on writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -458,11 +457,7 @@ class SimulationEngine:
                 probe = steps.send(outcome)
             except StopIteration:
                 return self.stats
-            started = perf_counter()
             outcome = probe.invoke()
-            elapsed = perf_counter() - started
-            self.stats.probe_seconds += elapsed
-            self.stats.solve_seconds += elapsed
 
     def run_steps(self, kernels: Iterable[KernelTrace],
                   benchmark: str = "") -> ProbeGen:
@@ -478,18 +473,7 @@ class SimulationEngine:
         """
         self.stats.benchmark = benchmark
         base_violations = _sanitize.report().count
-        # Trace synthesis happens lazily while this loop pulls kernels
-        # from the generator; bracket it so the probe/charge/other
-        # breakdown covers the full run wall time.
-        kernel_iter = iter(kernels)
-        while True:
-            pull_start = perf_counter()
-            try:
-                kernel = next(kernel_iter)
-            except StopIteration:
-                self.stats.other_seconds += perf_counter() - pull_start
-                break
-            self.stats.other_seconds += perf_counter() - pull_start
+        for kernel in kernels:
             yield from self._run_kernel(kernel)
         self._finalize_allocation_stats()
         # Violations recorded while this lane ran (0 unless
@@ -499,29 +483,18 @@ class SimulationEngine:
             _sanitize.report().count - base_violations
 
     def _run_kernel(self, kernel: KernelTrace) -> ProbeGen:
-        # Organization hooks (begin/end epoch can repartition, the
-        # kernel tail flushes) are neither probes nor charges; bracket
-        # the segments between epoch bodies into other_seconds so the
-        # timing breakdown stays near-exhaustive.
-        seg_start = perf_counter()
         kstats = KernelStats(name=kernel.name)
         self.organization.begin_kernel(self, kernel.name)
         for index, epoch in enumerate(kernel.epochs):
             self.organization.begin_epoch(self, index)
             if self.organization.profiling:
                 head, tail = self._split_profile_window(epoch)
-                self.stats.other_seconds += perf_counter() - seg_start
                 yield from self._run_epoch(head, kstats)
-                seg_start = perf_counter()
                 self.organization.profile_boundary(self)
                 if tail is not None:
-                    self.stats.other_seconds += perf_counter() - seg_start
                     yield from self._run_epoch(tail, kstats)
-                    seg_start = perf_counter()
             else:
-                self.stats.other_seconds += perf_counter() - seg_start
                 yield from self._run_epoch(epoch, kstats)
-                seg_start = perf_counter()
             self.organization.end_epoch(self, index)
         self._sample_allocation(kstats.cycles)
         # Capture the mode the kernel actually ran in (and the coherence
@@ -538,7 +511,6 @@ class SimulationEngine:
             self._pending_cycles = 0.0
         kstats.reconfigured = kstats.reconfig_cycles > 0
         self.stats.merge_kernel(kstats)
-        self.stats.other_seconds += perf_counter() - seg_start
 
     def _split_profile_window(self, epoch: EpochTrace
                               ) -> Tuple[EpochTrace, Optional[EpochTrace]]:
@@ -630,7 +602,6 @@ class SimulationEngine:
         if self._fast_path_eligible():
             resolved = yield from self._run_epoch_batched(epoch, kstats)
             if resolved:
-                self.stats.fast_epochs += 1
                 return
             # The bank declined at runtime; nothing but page homes (which
             # the serial path re-resolves identically) was touched.
@@ -715,13 +686,10 @@ class SimulationEngine:
         request rather than called inline, so the same code path serves
         both standalone runs (the driver in :meth:`run` invokes each
         probe immediately) and stacked runs (the driver batches
-        co-resident lanes into one call).  ``probe_seconds`` here covers
-        only this engine's local prep; the driver adds the invocation
-        time it attributes to this lane.  A declined probe (``None``)
+        co-resident lanes into one call).  A declined probe (``None``)
         returns False before anything is charged, and the caller reruns
         the epoch serially.
         """
-        prep_start = perf_counter()
         params = self.params
         config = self.config
         num_chips = config.num_chips
@@ -760,10 +728,6 @@ class SimulationEngine:
         base = self._bank_base
         lane = (base, base + config.total_llc_slices)
         assert self._llc_bank is not None
-        # Route/plan prep above is neither a probe nor a charge; book it
-        # under other_seconds so the breakdown stays near-exhaustive.
-        self.stats.other_seconds += perf_counter() - prep_start
-        probe_start = perf_counter()
         if all(s is None for s in st1) and \
                 all(p == UNPARTITIONED for p in st0_part):
             probe = BankProbe(
@@ -787,10 +751,7 @@ class SimulationEngine:
             # sharing) intact for the shared epochs.
             outcome = probe.invoke()
         else:
-            self.stats.probe_seconds += perf_counter() - probe_start
             outcome = yield probe
-            probe_start = perf_counter()
-        self.stats.probe_seconds += perf_counter() - probe_start
         if outcome is None:
             return False
         self.stats.vector_epochs += 1
@@ -806,7 +767,6 @@ class SimulationEngine:
             ev_addrs = outcome.evicted_addr[outcome.evicted_dirty]
 
         # Everything below is pure accounting over the recorded outcomes.
-        charge_start = perf_counter()
         # Every access probes stage 0 (no L1 filters this path).
         probed0 = np.ones(n, dtype=bool)
         kstats.accesses += n
@@ -893,7 +853,6 @@ class SimulationEngine:
             org.observe_batch(self, chips_np, addrs_np, homes_np,
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
-        self.stats.charge_seconds += perf_counter() - charge_start
         return True
 
     def _batched_homes(self, epoch: EpochTrace) -> np.ndarray:

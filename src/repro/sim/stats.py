@@ -33,11 +33,7 @@ ORIGINS = (ORIGIN_LOCAL_LLC, ORIGIN_REMOTE_LLC,
 #: listed too.
 TELEMETRY_FIELDS = frozenset({
     "wall_seconds",
-    "fast_epochs",
     "slow_epochs",
-    "probe_seconds",
-    "solve_seconds",
-    "charge_seconds",
     "vector_epochs",
     "demotions",
     "stacked_lanes",
@@ -46,7 +42,6 @@ TELEMETRY_FIELDS = frozenset({
     "lane_quarantined",
     "lane_demoted",
     "sanitizer_violations",
-    "other_seconds",
     "set_replay_batches",
     # StackedTelemetry counters (repro/sim/stacked.py).
     "lanes",
@@ -57,7 +52,6 @@ TELEMETRY_FIELDS = frozenset({
     "shared_encodings",
     "shared_replays",
     "lane_batched_rounds",
-    "replay_seconds",
     "quarantined_lanes",
     "demoted_lanes",
 })
@@ -118,20 +112,10 @@ class RunStats:
     kernels: List[KernelStats] = field(default_factory=list)
     # -- Run telemetry (excluded from comparable_dict): -------------------
     # Host wall-clock of the simulation (set by ``repro.sim.run.simulate``)
-    # and how many epochs took the batched vs the per-access path.
+    # and how many epochs took the per-access path vs resolved via the
+    # vectorized tag-store kernel.
     wall_seconds: float = 0.0
-    fast_epochs: int = 0
     slow_epochs: int = 0
-    # Wall-clock spent in the cache-probe phase of batched epochs and how
-    # many epochs resolved via the vectorized tag-store kernel.
-    probe_seconds: float = 0.0
-    # Breakdown of the batched-epoch wall clock: ``solve_seconds`` is the
-    # subset of ``probe_seconds`` spent inside tag-store bank solves (the
-    # stack-distance kernel), ``charge_seconds`` is the accounting tail of
-    # each batched epoch (traffic/latency charging after the probe phase).
-    # Serial epochs sit outside both buckets.
-    solve_seconds: float = 0.0
-    charge_seconds: float = 0.0
     vector_epochs: int = 0
     # Epochs the bank declined at runtime and the engine reran on the
     # serial path (counted in ``slow_epochs`` too): a config silently
@@ -158,11 +142,6 @@ class RunStats:
     # ``repro.core.sanitize``).  A nonzero count survives even when the
     # raising ``SanitizerError`` was absorbed by a containment layer.
     sanitizer_violations: int = 0
-    # Wall-clock of the batched-epoch pipeline that the
-    # probe/solve/charge brackets did not capture (directly measured,
-    # not a computed residual) — the timing-breakdown invariant bounds
-    # this at 5% of the run.
-    other_seconds: float = 0.0
     # This run's epochs that demoted rows to the stream-order
     # ``_SetReplay`` interpreter (counted per lane, from the bank's
     # outcome); stays 0 when the vectorized over-allotment drain covers
@@ -248,20 +227,15 @@ class RunStats:
             "kernels": len(self.kernels),
             "wall_seconds": self.wall_seconds,
             "accesses_per_second": self.accesses_per_second,
-            "fast_epochs": self.fast_epochs,
             "slow_epochs": self.slow_epochs,
             "vector_epochs": self.vector_epochs,
             "demotions": self.demotions,
-            "probe_seconds": self.probe_seconds,
-            "solve_seconds": self.solve_seconds,
-            "charge_seconds": self.charge_seconds,
             "stacked_lanes": self.stacked_lanes,
             "stacked_probe_calls": self.stacked_probe_calls,
             "stacked_shared_streams": self.stacked_shared_streams,
             "lane_quarantined": self.lane_quarantined,
             "lane_demoted": self.lane_demoted,
             "sanitizer_violations": self.sanitizer_violations,
-            "other_seconds": self.other_seconds,
             "set_replay_batches": self.set_replay_batches,
         }
 

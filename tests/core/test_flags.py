@@ -32,7 +32,7 @@ class TestRegistry:
 
     def test_read_applies_the_declared_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert flags.read("REPRO_RETRIES") == "1"
+        assert flags.read("REPRO_RETRIES") == "2"
         monkeypatch.setenv("REPRO_RETRIES", "7")
         assert flags.read("REPRO_RETRIES") == "7"
 

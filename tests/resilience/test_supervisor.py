@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import flags
 from repro.resilience import faults
 from repro.resilience.supervisor import (
     SupervisedTask,
@@ -61,6 +62,10 @@ class TestEnvKnobs:
         assert default_retries() == 5
         monkeypatch.setenv("REPRO_RETRIES", "nope")
         assert default_retries() == 2
+
+    def test_default_retries_is_the_registry_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert default_retries() == int(flags.read("REPRO_RETRIES"))
 
     def test_default_task_timeout(self, monkeypatch):
         monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)

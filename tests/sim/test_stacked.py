@@ -140,7 +140,10 @@ class TestStackedTelemetry:
         # per lane per epoch by construction.
         assert 0 < tele.bank_invocations < 5 * sum(
             k.epochs * spec.iterations for k in spec.kernels)
-        assert tele.probe_seconds >= 0.0
+        # The stacked driver at least halves the kernel calls the same
+        # lanes make on their own: one call per round, not per lane.
+        assert 2 * tele.bank_invocations <= sum(
+            s.vector_epochs for s in result.stats)
         assert tele.wall_seconds > 0.0
 
     def test_per_lane_stats_carry_stacked_counters(self):
@@ -224,7 +227,7 @@ class TestSharedEncodings:
         result = simulate_stacked(spec, orgs, configs=configs, scale=SCALE,
                                   accesses_per_epoch=DENSITY)
         assert result.telemetry.shared_encodings > 0
-        assert result.stats[2].fast_epochs == 0
+        assert result.stats[2].vector_epochs == 0
         for org, config, stats in zip(orgs, configs, result.stats):
             solo = standalone(spec, org, config=config)
             assert stats.comparable_dict() == solo.comparable_dict()
@@ -314,11 +317,8 @@ class TestLaneBatchedReplay:
         # The fused-pass counters are sweep-level: StackedTelemetry
         # carries them, per-lane RunStats does not.
         assert "lane_batched_rounds" in TELEMETRY_FIELDS
-        assert "replay_seconds" in TELEMETRY_FIELDS
         assert "set_replay_batches" in TELEMETRY_FIELDS
-        assert "other_seconds" in TELEMETRY_FIELDS
         assert not hasattr(RunStats(), "lane_batched_rounds")
-        assert not hasattr(RunStats(), "replay_seconds")
 
 
 class TestDuplicateLanes:
@@ -432,7 +432,7 @@ class TestLaneQuarantine:
         assert result.telemetry.demoted_lanes == [1]
         assert result.stats[1].lane_quarantined == 1
         assert result.stats[1].lane_demoted == 1
-        assert result.stats[1].fast_epochs == 0
+        assert result.stats[1].vector_epochs == 0
         assert result.stats[1].slow_epochs > 0
         for i, org in enumerate(orgs):
             solo = standalone(spec, org)
