@@ -26,6 +26,7 @@ a writer bug or a schema drift, and the bytes are the forensics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core import flags
 from ..resilience.faults import fire
 from ..sim.engine import EngineParams
 from ..sim.stats import KernelStats, RunStats
@@ -44,33 +46,60 @@ from ..sim.stats import KernelStats, RunStats
 SCHEMA_VERSION = 1
 
 
+#: Packages whose source determines simulated numbers; their bytes are
+#: hashed into every key (see :func:`model_source_token`).
+MODEL_PACKAGES = ("arch", "cache", "coherence", "core", "llc", "memory",
+                  "noc", "sim", "workloads")
+
+
+@functools.lru_cache(maxsize=None)
+def model_source_token() -> str:
+    """Hash of every ``.py`` file under :data:`MODEL_PACKAGES`.
+
+    An engine, kernel, organization or generator edit can move the
+    numbers without touching any dataclass field list; folding this hash
+    into :func:`schema_token` makes such an edit miss every stored
+    result.  Files are read once per process, on the first key built,
+    in sorted order, with each file's package-relative path hashed
+    beside its bytes so a rename changes the token too.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in MODEL_PACKAGES:
+        for path in sorted((package / name).rglob("*.py")):
+            digest.update(path.relative_to(package).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
 def schema_token() -> str:
     """Fingerprint of the result/parameter schema, folded into every key.
 
-    Derived from ``SCHEMA_VERSION`` plus the *field lists* of the
-    dataclasses whose shape determines what a stored payload means:
-    :class:`RunStats`, :class:`KernelStats` and :class:`EngineParams`.
-    Adding, removing or renaming a field changes the token, so stored
-    results from a different code shape miss automatically even when
+    Derived from ``SCHEMA_VERSION``, the *field lists* of the
+    dataclasses whose shape determines what a stored payload means
+    (:class:`RunStats`, :class:`KernelStats` and :class:`EngineParams`)
+    and :func:`model_source_token`.  Adding, removing or renaming a
+    field, or editing any model source file, changes the token, so
+    stored results from different code miss automatically even when
     nobody remembered to bump ``SCHEMA_VERSION``.  Field lists are taken
     in declaration order (a reordering is deliberately *not* a schema
     change for pickled payloads, but declaration order is deterministic,
     so the token is stable across processes either way).
     """
-    parts = [f"schema_version={SCHEMA_VERSION}"]
+    parts = [f"schema_version={SCHEMA_VERSION}",
+             f"model_source={model_source_token()}"]
     for cls in (RunStats, KernelStats, EngineParams):
         names = ",".join(f.name for f in dataclasses.fields(cls))
         parts.append(f"{cls.__qualname__}({names})")
     return hashlib.sha256(
         ";".join(parts).encode("utf-8")).hexdigest()[:16]
 
-#: Default cache root (relative to the working directory), overridable
-#: with the ``REPRO_CACHE_DIR`` environment variable.
-DEFAULT_CACHE_DIR = ".repro_cache"
-
 
 def default_cache_root() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
+    """The ``REPRO_CACHE_DIR`` root, relative to the working directory."""
+    return Path(flags.read("REPRO_CACHE_DIR"))
 
 
 def _encode(value: object) -> object:
@@ -107,7 +136,8 @@ def content_key(**parts: object) -> str:
 
     The current :func:`schema_token` is folded into every key, so a
     change to the ``RunStats``/``KernelStats``/``EngineParams`` field
-    lists invalidates old entries even without a ``SCHEMA_VERSION`` bump.
+    lists or to the model source invalidates old entries even without a
+    ``SCHEMA_VERSION`` bump.
     """
     encoded = {name: _encode(value) for name, value in sorted(parts.items())}
     encoded["__schema__"] = schema_token()

@@ -58,9 +58,8 @@ class EnvFlag:
 FLAGS: Tuple[EnvFlag, ...] = (
     EnvFlag(
         "REPRO_CACHE_DIR", ".repro_cache",
-        "Directory of the on-disk result cache (and the lint finding "
-        "cache under `<dir>/lint/`); the CLI's `--cache-dir` overrides "
-        "it per invocation."),
+        "Directory of the on-disk result cache; the CLI's `--cache-dir` "
+        "overrides it per invocation."),
     EnvFlag(
         "REPRO_FAULTS", "",
         "Comma-separated fault-injection entries "

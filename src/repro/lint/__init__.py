@@ -13,7 +13,6 @@ Use ``python -m repro.lint`` to run it; see :mod:`repro.lint.cli`.
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .core import REGISTRY, Finding, ProjectRule, Rule, Severity, register
 from .graph import ProjectGraph, build_graph
 from .runner import Report, check_source, run
@@ -21,7 +20,6 @@ from .source import SourceFile
 from . import rules as _rules  # noqa: F401  (populates REGISTRY on import)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "ProjectGraph",
     "ProjectRule",

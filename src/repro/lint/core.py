@@ -6,17 +6,12 @@ via the :func:`register` decorator so that importing
 :mod:`repro.lint.rules` is enough to make every project rule available
 to the runner and the CLI.
 
-Each finding carries the rule name, severity, location and a stable
-*fingerprint* (derived from the rule, the file and the offending source
-line's content, not its line number) used by the baseline mechanism:
-grandfathered findings survive unrelated edits that merely shift line
-numbers, but any change to the offending line itself re-surfaces the
-finding.
+Each finding carries the rule name, severity, location and the text
+of the offending source line.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Type, TYPE_CHECKING
@@ -48,12 +43,6 @@ class Finding:
     message: str
     source_line: str = ""
 
-    def fingerprint(self) -> str:
-        """Content-addressed identity used by the baseline mechanism."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.source_line.strip(), self.message))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.column + 1}: "
                 f"{self.severity} [{self.rule}] {self.message}")
@@ -62,8 +51,8 @@ class Finding:
 class Rule:
     """Base class for all lint rules.
 
-    Subclasses set :attr:`name` (the id used in ``noqa`` comments and
-    baselines), :attr:`severity`, :attr:`description` (one line) and
+    Subclasses set :attr:`name` (the id used in ``noqa`` comments),
+    :attr:`severity`, :attr:`description` (one line) and
     :attr:`contract` (the invariant the rule protects, shown by
     ``--list-rules``), and implement :meth:`check`.
     """
@@ -95,7 +84,7 @@ class ProjectRule(Rule):
     :meth:`check` is inert (project rules yield nothing under
     single-file harnesses); the runner calls :meth:`check_project` once
     per run, and findings still anchor to concrete file locations, so
-    ``noqa`` suppression and baselining work unchanged.
+    ``noqa`` suppression works unchanged.
     """
 
     def check(self, source: "SourceFile") -> Iterator[Finding]:

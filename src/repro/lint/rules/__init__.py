@@ -2,7 +2,7 @@
 
 Each module defines one rule (or one tightly-related family) and
 documents the contract it protects.  See ``docs/static_analysis.md``
-for the rule catalogue and suppression/baseline workflow.
+for the rule catalogue and the suppression syntax.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A :class:`SourceFile` bundles everything a rule needs: the raw text,
 the split lines, the parsed AST with parent links, the repo-relative
-path used in reports/baselines, and the per-line suppression map parsed
+path used in reports, and the per-line suppression map parsed
 from ``# repro: noqa(rule-a, rule-b)`` comments (a bare
 ``# repro: noqa`` suppresses every rule on that line).  Suppressions
 are matched against the line a finding is anchored to, so a noqa on a
@@ -68,7 +68,7 @@ def _parse_noqa(text: str) -> Dict[int, FrozenSet[str]]:
 
 
 def relpath_of(path: Path, root: Optional[Path] = None) -> str:
-    """Repo-relative posix path used in reports, baselines and caches."""
+    """Repo-relative posix path used in reports."""
     relpath = path.as_posix()
     if root is not None:
         try:

@@ -1,6 +1,11 @@
 """Unit tests for the persistent on-disk result cache."""
 
+import os
 import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.analysis import diskcache
 from repro.analysis.diskcache import (
@@ -9,6 +14,7 @@ from repro.analysis.diskcache import (
     content_key,
 )
 from repro.arch import baseline
+from repro.core import flags
 from repro.sim.engine import EngineParams
 from repro.sim.stats import KernelStats, RunStats
 
@@ -139,6 +145,25 @@ class TestResultCache:
         assert cache.load(content_key(x=6)) is None
 
 
+    def test_default_root_is_the_registry_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert diskcache.default_cache_root() == Path(
+            flags.declared("REPRO_CACHE_DIR").default)
+
+
+def _key_from_copy(package: Path) -> str:
+    """``content_key(x=1)`` as computed by a fresh interpreter that
+    imports ``repro`` from ``package``'s parent directory."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.analysis.diskcache import content_key; "
+         "print(content_key(x=1))"],
+        cwd=package.parent,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 class TestSchemaToken:
     def test_token_is_deterministic(self):
         assert diskcache.schema_token() == diskcache.schema_token()
@@ -168,3 +193,24 @@ class TestSchemaToken:
         key = content_key(spec="s", organization="sac")
         monkeypatch.setattr(diskcache, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
         assert content_key(spec="s", organization="sac") != key
+
+    def test_model_source_edit_changes_every_key(self, tmp_path):
+        package = Path(diskcache.__file__).resolve().parents[1]
+        copies = []
+        for name in ("a", "b", "edited"):
+            copy = tmp_path / name / "repro"
+            shutil.copytree(package, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            copies.append(copy)
+        with open(copies[2] / "sim" / "engine.py", "a",
+                  encoding="utf-8") as handle:
+            handle.write("# an edit that could move the numbers\n")
+        a, b, edited = (_key_from_copy(copy) for copy in copies)
+        assert a == b
+        assert edited != a
+
+    def test_model_sources_are_read_once_per_process(self):
+        content_key(x=1)
+        content_key(x=2)
+        diskcache.schema_token()
+        assert diskcache.model_source_token.cache_info().misses == 1

@@ -69,7 +69,7 @@ class TestUnusedSuppression:
                         touch(item)
                 """,
         })
-        rules = [f.rule for f in report.new]
+        rules = [f.rule for f in report.findings]
         assert rules == [UNUSED_SUPPRESSION]
         # Warnings never fail the run.
         assert not report.failed
@@ -82,7 +82,7 @@ class TestUnusedSuppression:
                         touch(addrs[i])
                 """,
         })
-        assert [f.rule for f in report.new] == []
+        assert [f.rule for f in report.findings] == []
         assert [f.rule for f in report.suppressed] == ["hot-loop"]
 
     def test_wrong_rule_name_is_warned_even_beside_a_finding(self,
@@ -94,7 +94,7 @@ class TestUnusedSuppression:
                         touch(addrs[i])
                 """,
         })
-        rules = sorted(f.rule for f in report.new)
+        rules = sorted(f.rule for f in report.findings)
         assert rules == ["hot-loop", UNUSED_SUPPRESSION]
 
     def test_selected_rule_runs_skip_the_warning(self, tmp_path):
@@ -109,4 +109,4 @@ class TestUnusedSuppression:
                         touch(item)
                 """,
         }, rules=rules)
-        assert report.new == []
+        assert report.findings == []

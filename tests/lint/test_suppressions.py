@@ -70,7 +70,7 @@ def test_runner_classifies_suppressed_findings(tmp_path):
     target.write_text(textwrap.dedent(
         _BAD_LOOP.format(comment="  # repro: noqa(hot-loop)")))
     report = run([tmp_path], root=tmp_path)
-    assert report.new == []
+    assert report.findings == []
     assert [f.rule for f in report.suppressed] == ["hot-loop"]
     assert not report.failed
 
