@@ -187,12 +187,12 @@ class SharingAwareCaching(LLCOrganization):
                       slices: np.ndarray, hit_stages: np.ndarray) -> None:
         """Vectorized :meth:`observe_access` for one batched epoch.
 
-        The engine calls this once per batched epoch instead of the
-        per-access hook; the final counter state is identical because
-        every chip counter is an order-independent sum and the CRDs
-        still see their sampled addresses in access order.  Accesses
-        with ``hit_stage == -2`` (L1 read hits) never reach
-        :meth:`observe_access` on the serial path and are excluded.
+        The engine calls this once per epoch, on either tier, instead
+        of the per-access hook; the final counter state is identical
+        because every chip counter is an order-independent sum and the
+        CRDs still see their sampled addresses in access order.
+        Accesses with ``hit_stage == -2`` (L1 read hits) never reach
+        the LLC and are excluded.
         """
         if not self._profiling:
             return

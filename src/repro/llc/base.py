@@ -114,9 +114,10 @@ class LLCOrganization(abc.ABC):
     def observe_is_passive(self) -> bool:
         """True when :meth:`observe_access` is currently a no-op.
 
-        The engine's batched epoch fast path skips the per-access
-        ``observe_access`` callback entirely, so it may only run while
-        this is True.  Organizations that override ``observe_access``
+        The engine skips the per-access ``observe_access`` callback
+        entirely while this is True (an organization that is not
+        passive either provides a batched ``observe_batch`` or keeps
+        its epochs on the serial probe loop).  Organizations that override ``observe_access``
         but only act during certain windows (e.g. SAC while profiling)
         should override this to reflect the current state.
         """

@@ -107,7 +107,7 @@ class LADMLLC(DynamicLLC):
     @property
     def observe_is_passive(self) -> bool:
         # observe_access is a no-op, but remote_allocate() still forces
-        # the engine's per-access path (the touch filter is stateful).
+        # the engine's serial probe loop (the touch filter is stateful).
         return True
 
     def remote_allocate(self, chip: int, addr: int) -> bool:

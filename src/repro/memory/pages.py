@@ -68,8 +68,8 @@ class PageTable:
 
         ``pages`` are page numbers paired with the chip that (first)
         touches each; they must be given in first-touch order so that
-        order-sensitive policies (round-robin) allocate exactly as the
-        per-access path would.  Returns the home chip per page.
+        order-sensitive policies (round-robin) allocate exactly as
+        resolving the pages access by access would.  Returns the home chip per page.
         """
         homes: List[int] = []
         get = self._home.get

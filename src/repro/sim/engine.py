@@ -27,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Generator,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     Union,
@@ -42,7 +44,6 @@ import numpy as np
 from ..arch.config import SystemConfig
 from ..cache.cache import (
     UNPARTITIONED,
-    AccessResult,
     PartitionFullError,
     SetAssociativeCache,
 )
@@ -51,7 +52,7 @@ from ..cache.waycache import make_cache
 from ..coherence.hardware import HardwareCoherence
 from ..coherence.software import SoftwareCoherence
 from ..core import sanitize as _sanitize
-from ..llc.base import LLCOrganization
+from ..llc.base import LLCOrganization, RoutePlan
 from ..memory.dram import DramSystem
 from ..memory.mapping import AddressMapping
 from ..memory.pages import PageTable
@@ -98,9 +99,10 @@ class EngineParams:
     # Back LRU LLCs with the vectorized tag store and resolve each
     # epoch's probes with one stack-distance kernel call whenever the
     # run has no per-access side effects (no hardware coherence,
-    # migration or per-access observers); the engine transparently runs
-    # the per-access path otherwise.  False selects the serial engine
-    # over plain SetAssociativeCache slices: the independent reference.
+    # migration or per-access observers); the engine runs the serial
+    # probe loop otherwise.  Both tiers share one accounting pass.
+    # False selects the serial engine over plain SetAssociativeCache
+    # slices: the independent reference for the probes.
     batched: bool = True
 
     def __post_init__(self) -> None:
@@ -135,6 +137,24 @@ ProbeOutcome = Union[BatchResult, StagedResult, None]
 #: yields each batched epoch's pending bank invocation and receives the
 #: outcome via ``send``.
 ProbeGen = Generator["BankProbe", ProbeOutcome, None]
+
+
+class _EpochRoutes(NamedTuple):
+    """One epoch's routing, shared by its probe and its accounting pass.
+
+    ``plans`` is indexed by ``requester * num_chips + home``; every
+    array holds one entry per access.  ``serve1`` is 0 where the access
+    has no second stage (``two_stage`` False).
+    """
+
+    plans: List[RoutePlan]
+    homes: np.ndarray
+    pair: np.ndarray
+    slices: np.ndarray
+    channels: np.ndarray
+    serve0: np.ndarray
+    two_stage: np.ndarray
+    serve1: np.ndarray
 
 
 @dataclass
@@ -599,28 +619,31 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _run_epoch(self, epoch: EpochTrace, kstats: KernelStats) -> ProbeGen:
-        if self._fast_path_eligible():
-            resolved = yield from self._run_epoch_batched(epoch, kstats)
+        routes = self._epoch_routes(epoch)
+        if self._fast_path_eligible(routes.plans):
+            resolved = yield from self._run_epoch_batched(epoch, kstats,
+                                                          routes)
             if resolved:
                 return
             # The bank declined at runtime; nothing but page homes (which
-            # the serial path re-resolves identically) was touched.
+            # the routes already hold) was touched.
             self.stats.demotions += 1
-        self._run_epoch_serial(epoch, kstats)
+        self._run_epoch_serial(epoch, kstats, routes)
         self.stats.slow_epochs += 1
 
-    def _fast_path_eligible(self) -> bool:
-        """Whether the current epoch can take the vectorized fast path.
+    def _fast_path_eligible(self, plans: List[RoutePlan]) -> bool:
+        """Whether the current epoch's probes can run on the vector bank.
 
-        The fast path precomputes homes, route plans and traffic totals
-        with numpy and resolves every LLC probe with one bank call; it
-        is only safe when no component needs a per-access side effect
+        The two tiers differ only in how the LLC probes resolve; both
+        end in the same accounting pass (:meth:`_account_epoch`).  The
+        kernel tier resolves every probe with one bank call, so it is
+        only safe when no component needs a per-access side effect
         beyond the functional cache probes themselves: hardware
         coherence (directory/MESI actions per write), page migration
         (per-access observation), profiling organizations without a
         batched observer and insertion-policy organizations (LADM's
-        per-access ``remote_allocate``) all force the serial per-access
-        path.  So do the probe shapes the bank kernels do not cover: no
+        per-access ``remote_allocate``) all force the serial probe
+        loop.  So do the probe shapes the bank kernels do not cover: no
         vector bank (non-LRU replacement), modeled L1s (the L1 filters
         the LLC stream access by access), a no-write-allocate LLC, and
         route plans with a non-allocating stage.  (Plans with more than
@@ -643,44 +666,118 @@ class SimulationEngine:
                 return False
         if hasattr(org, "remote_allocate"):
             return False
-        num_chips = self.config.num_chips
-        for requester in range(num_chips):
-            for home in range(num_chips):
-                stages = org.plan(requester, home).stages
-                if not all(stage.allocate for stage in stages):
-                    return False
-        return True
+        return all(stage.allocate for plan in plans for stage in plan.stages)
 
-    def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats
-                          ) -> None:
-        chips = epoch.chips.tolist()
-        clusters = epoch.clusters.tolist()
-        addrs = epoch.addrs.tolist()
-        writes = epoch.writes.tolist()
-        slices = self._vectorized_slices(epoch.addrs, epoch.derived).tolist()
-        channels = self._vectorized_channels(
-            epoch.addrs, epoch.derived).tolist()
-        # The serial reference path IS the per-access loop: it defines
-        # the semantics the batched/vectorized paths must reproduce.
-        for i in range(len(addrs)):  # repro: noqa(hot-loop)
-            self._access(chips[i], clusters[i], addrs[i], writes[i],
-                         slices[i], channels[i], kstats)
-        self._settle_epoch(epoch, kstats)
+    def _epoch_routes(self, epoch: EpochTrace) -> _EpochRoutes:
+        """Resolve one epoch's homes, hashes and per-access stage chips.
+
+        Organizations change their route plans only between epochs, so
+        the per-(requester, home) pair tables are built once here and
+        shared by the probe and the accounting pass.
+        """
+        num_chips = self.config.num_chips
+        homes = self._batched_homes(epoch)
+        pair = epoch.chips * num_chips + homes
+        org = self.organization
+        plans = [org.plan(p // num_chips, p % num_chips)
+                 for p in range(num_chips * num_chips)]
+        serve0 = np.array([plan.stages[0].chip for plan in plans],
+                          dtype=np.int64)[pair]
+        two_stage = np.array([len(plan.stages) > 1 for plan in plans],
+                             dtype=bool)[pair]
+        serve1 = np.array([plan.stages[1].chip if len(plan.stages) > 1
+                           else 0 for plan in plans], dtype=np.int64)[pair]
+        return _EpochRoutes(
+            plans=plans, homes=homes, pair=pair,
+            slices=self._vectorized_slices(epoch.addrs, epoch.derived),
+            channels=self._vectorized_channels(epoch.addrs, epoch.derived),
+            serve0=serve0, two_stage=two_stage, serve1=serve1)
+
+    def _run_epoch_serial(self, epoch: EpochTrace, kstats: KernelStats,
+                          routes: _EpochRoutes) -> None:
+        """Probe the epoch access by access, then account it in bulk.
+
+        The reference tier: every LLC probe resolves in stream order
+        through the scalar caches, interleaved with the per-access side
+        effects the bank kernels cannot model (the L1 filter, page
+        migration counters, LADM's insertion filter, coherence
+        directories and MESI messages).  Apart from the MESI messages,
+        which change cache state and are charged as they happen, the
+        loop charges nothing: it records each access's hit stage and
+        the dirty evictions for :meth:`_account_epoch`.
+        """
+        org = self.organization
+        llc = self.llc
+        l1 = self.l1
+        migration = self.migration
+        page_shift = self._page_shift
+        line_mask = self._line_mask
+        # An organization changes mode only between epochs (profile
+        # boundary, end_epoch), so these hold for the whole loop.
+        remote_capable = org.caches_remote_data
+        track = self.hardware_coherence is not None and remote_capable
+        track_mesi = self.mesi is not None and remote_capable
+        remote_allocate = getattr(org, "remote_allocate", None)
+        observe: Optional[Callable[..., None]] = None
+        if not org.observe_is_passive and \
+                getattr(org, "observe_batch", None) is None:
+            observe = org.observe_access
+        homes = routes.homes.tolist() if observe is not None else []
+        llc_access = self._llc_access
+        stage_table = [[(stage.chip, stage.partition, stage.allocate)
+                        for stage in plan.stages] for plan in routes.plans]
+        hit_stage = [-1] * len(epoch)
+        evictions: List[Tuple[int, int]] = []
+        for i, (chip, cluster, addr, is_write, slice_index, pair) in \
+                enumerate(zip(epoch.chips.tolist(),  # repro: noqa(hot-loop)
+                              epoch.clusters.tolist(), epoch.addrs.tolist(),
+                              epoch.writes.tolist(), routes.slices.tolist(),
+                              routes.pair.tolist())):
+            if l1 is not None and \
+                    l1[chip][cluster].access(addr, is_write).hit and \
+                    not is_write:
+                # Write-through L1: writes always propagate to the LLC.
+                hit_stage[i] = -2
+                continue
+            if migration is not None:
+                migration.observe(addr >> page_shift, chip)
+            line_addr = addr & line_mask
+            stage_hit = -1
+            for k, (serve, partition, allocate) in \
+                    enumerate(stage_table[pair]):
+                if allocate and partition and remote_allocate is not None:
+                    # Insertion-policy organizations (LADM) decide per
+                    # access whether a remote line may enter the remote
+                    # partition.
+                    allocate = remote_allocate(chip, addr)
+                if llc_access(llc[serve][slice_index], serve, addr,
+                              line_addr, is_write, partition, allocate,
+                              slice_index, track, track_mesi, evictions):
+                    stage_hit = k
+                    break
+            hit_stage[i] = stage_hit
+            if is_write and track:
+                self._propagate_write_invalidations(chip, line_addr,
+                                                    slice_index)
+            if observe is not None:
+                observe(self, chip, addr, homes[i],
+                        stage_hit if stage_hit >= 0 else None)
+        ev = np.array(evictions, dtype=np.int64).reshape(-1, 2)
+        self._account_epoch(epoch, kstats, routes,
+                            np.array(hit_stage, dtype=np.int64),
+                            ev[:, 0], ev[:, 1])
 
     # -- Batched epoch fast path -------------------------------------------
 
-    def _run_epoch_batched(self, epoch: EpochTrace, kstats: KernelStats
+    def _run_epoch_batched(self, epoch: EpochTrace, kstats: KernelStats,
+                           routes: _EpochRoutes
                            ) -> Generator[BankProbe, ProbeOutcome, bool]:
-        """Vectorized epoch execution; False if the bank declined it.
+        """Resolve the epoch's probes with one bank call; False if declined.
 
-        Functionally identical to :meth:`_run_epoch_serial`: the same LLC
-        probes resolve in the same order (the caches are the only
-        sequential state), while page-home resolution, route planning and
-        every resource charge are precomputed or aggregated with numpy.
-        All aggregated quantities are integer byte counts or sums of
-        exactly-representable latencies, so the resulting ``RunStats``
-        are bit-identical to the per-access path for the default
-        parameters (and agree to float round-off for any others).
+        The same LLC probes resolve in the same order as on the serial
+        tier (the caches are the only sequential state), and the
+        outcomes feed the same accounting pass, so the resulting
+        ``RunStats`` are bit-identical to ``batched=False``.
 
         The bank invocation itself is *yielded* as a :class:`BankProbe`
         request rather than called inline, so the same code path serves
@@ -690,59 +787,37 @@ class SimulationEngine:
         returns False before anything is charged, and the caller reruns
         the epoch serially.
         """
-        params = self.params
         config = self.config
-        num_chips = config.num_chips
-        n = len(epoch)
-        chips_np = epoch.chips
-        writes_np = epoch.writes
-        addrs_np = epoch.addrs
-        slices_np = self._vectorized_slices(addrs_np, epoch.derived)
-        channels_np = self._vectorized_channels(addrs_np, epoch.derived)
-        homes_np = self._batched_homes(epoch)
-        pair_np = chips_np * num_chips + homes_np
-
         org = self.organization
-        num_pairs = num_chips * num_chips
-        plans = [org.plan(p // num_chips, p % num_chips)
-                 for p in range(num_pairs)]
-
-        # Per-(requester, home) pair stage decomposition (one or two
-        # allocate-on-miss stages; see _fast_path_eligible).
-        st0_chip = [plan.stages[0].chip for plan in plans]
-        st0_part = [plan.stages[0].partition for plan in plans]
-        st1 = [(plan.stages[1].chip, plan.stages[1].partition)
-               if len(plan.stages) > 1 else None for plan in plans]
-
+        plans = routes.plans
+        pair = routes.pair
+        llc_slices = config.chip.llc_slices
         # Cache probes: the only sequentially-stateful work in the epoch,
         # resolved by one bank call — the grouped stack-distance kernel
         # for uniform unpartitioned single-stage epochs, the staged
         # solver for everything else.
-        llc_slices = config.chip.llc_slices
-        serve0_np = np.array(st0_chip, dtype=np.int64)[pair_np]
-        idx0_np = serve0_np * llc_slices + slices_np
-        two_stage = np.array([s is not None for s in st1],
-                             dtype=bool)[pair_np]
-        serve1 = np.array([s[0] if s is not None else 0 for s in st1],
-                          dtype=np.int64)[pair_np]
+        idx0 = routes.serve0 * llc_slices + routes.slices
         base = self._bank_base
         lane = (base, base + config.total_llc_slices)
         assert self._llc_bank is not None
-        if all(s is None for s in st1) and \
-                all(p == UNPARTITIONED for p in st0_part):
+        if all(len(plan.stages) == 1
+               and plan.stages[0].partition == UNPARTITIONED
+               for plan in plans):
             probe = BankProbe(
                 bank=self._llc_bank, kind="grouped", base=base, lane=lane,
-                addrs=addrs_np, writes=writes_np, idx0=idx0_np,
+                addrs=epoch.addrs, writes=epoch.writes, idx0=idx0,
                 fault_key=org.name)
         else:
             probe = BankProbe(
                 bank=self._llc_bank, kind="staged", base=base, lane=lane,
-                addrs=addrs_np, writes=writes_np, idx0=idx0_np,
-                part0=np.array(st0_part, dtype=np.int64)[pair_np],
-                two_stage=two_stage,
-                idx1=serve1 * llc_slices + slices_np,
-                part1=np.array([s[1] if s is not None else 0 for s in st1],
-                               dtype=np.int64)[pair_np],
+                addrs=epoch.addrs, writes=epoch.writes, idx0=idx0,
+                part0=np.array([plan.stages[0].partition for plan in plans],
+                               dtype=np.int64)[pair],
+                two_stage=routes.two_stage,
+                idx1=routes.serve1 * llc_slices + routes.slices,
+                part1=np.array([plan.stages[1].partition
+                                if len(plan.stages) > 1 else 0
+                                for plan in plans], dtype=np.int64)[pair],
                 fault_key=org.name)
         if org.profiling:
             # Profiling slices are lane-private head/tail cuts that never
@@ -756,30 +831,57 @@ class SimulationEngine:
             return False
         self.stats.vector_epochs += 1
         if isinstance(outcome, StagedResult):
-            hs = outcome.hit_stage
+            hit_stage = outcome.hit_stage
             ev_serves = outcome.evicted_cache // llc_slices
             ev_addrs = outcome.evicted_addr
             if outcome.set_replay:
                 self.stats.set_replay_batches += 1
         else:
-            hs = np.where(outcome.hits, np.int64(0), np.int64(-1))
-            ev_serves = serve0_np[outcome.evicted_dirty]
+            hit_stage = np.where(outcome.hits, np.int64(0), np.int64(-1))
+            ev_serves = routes.serve0[outcome.evicted_dirty]
             ev_addrs = outcome.evicted_addr[outcome.evicted_dirty]
+        self._account_epoch(epoch, kstats, routes, hit_stage, ev_serves,
+                            ev_addrs)
+        return True
 
-        # Everything below is pure accounting over the recorded outcomes.
-        # Every access probes stage 0 (no L1 filters this path).
-        probed0 = np.ones(n, dtype=bool)
-        kstats.accesses += n
-        kstats.llc_lookups += n
+    # -- Accounting -----------------------------------------------------------
+
+    def _account_epoch(self, epoch: EpochTrace, kstats: KernelStats,
+                       routes: _EpochRoutes, hit_stage: np.ndarray,
+                       ev_serves: np.ndarray, ev_addrs: np.ndarray) -> None:
+        """Charge one epoch from its probe outcomes, then settle it.
+
+        Both tiers end here.  ``hit_stage`` holds each access's LLC
+        outcome: the stage that hit (0 or 1), -1 for a full miss and -2
+        for an L1 read hit that never reached the LLC.  ``ev_serves`` and
+        ``ev_addrs`` list the dirty LLC evictions by serving chip.
+        Every charge is an order-independent integer sum, and each
+        access's latency is built from the same float operations in the
+        same order whichever tier probed, so the result does not depend
+        on the tier.  Page homes move only in :meth:`_settle_epoch`, so
+        write-back homes looked up here equal those at eviction time.
+        """
+        params = self.params
+        config = self.config
+        org = self.organization
+        chips_np = epoch.chips
+        writes_np = epoch.writes
+        slices_np = routes.slices
+        homes_np = routes.homes
+        serve0 = routes.serve0
+        serve1 = routes.serve1
+        hs = hit_stage
+        probed0 = hs != -2
+        probed1 = probed0 & routes.two_stage & (hs != 0)
+        kstats.accesses += len(epoch)
+        kstats.llc_lookups += int(probed0.sum())
         kstats.llc_hits += int((hs >= 0).sum())
         req_np = params.request_bytes + \
             params.write_data_bytes * writes_np.astype(np.int64)
         rsp = self.line_size + params.response_header_bytes
         dedicated = bool(getattr(org, "dedicated_memory_network", False))
+        llc_slices = config.chip.llc_slices
         total_slices = config.total_llc_slices
-
-        serve0 = serve0_np
-        probed1 = probed0 & two_stage & (hs != 0)
 
         # Per-slice request counts and LLC service bytes.
         slice_counts = np.zeros(total_slices, dtype=np.int64)
@@ -821,10 +923,10 @@ class SimulationEngine:
         # Full misses: the last probed chip forwards to the home memory.
         miss = hs == -1
         if miss.any():
-            last_np = np.array([plan.stages[-1].chip for plan in plans],
-                               dtype=np.int64)[pair_np]
-            self._charge_memory_legs(miss, last_np, homes_np, channels_np,
-                                     writes_np, req_np, rsp, dedicated)
+            last_np = np.where(routes.two_stage, serve1, serve0)
+            self._charge_memory_legs(miss, last_np, homes_np,
+                                     routes.channels, writes_np, req_np,
+                                     rsp, dedicated)
 
         # Dirty evictions collected during the probe phase.
         if ev_addrs.size:
@@ -844,23 +946,24 @@ class SimulationEngine:
             origins[ORIGIN_REMOTE_MEM] += int(miss.sum()) - local_mem
 
         # Per-access latency for the MLP bound, grouped by requester chip.
-        self._accumulate_latency(plans, pair_np, chips_np, probed0, probed1,
-                                 miss)
+        self._accumulate_latency(routes.plans, routes.pair, chips_np,
+                                 probed0, probed1, miss)
         if (org.profiling or not org.observe_is_passive) and \
                 hasattr(org, "observe_batch"):
-            # Replicate the serial path's per-access observe_access
-            # stream in one batched call (profiling counters).
-            org.observe_batch(self, chips_np, addrs_np, homes_np,
+            # The organization's per-access observe_access stream, in
+            # one batched call (SAC's profiling counters).
+            org.observe_batch(self, chips_np, epoch.addrs, homes_np,
                               slices_np, hs)
         self._settle_epoch(epoch, kstats)
-        return True
 
     def _batched_homes(self, epoch: EpochTrace) -> np.ndarray:
         """Vectorized first-touch home resolution for one epoch.
 
         Unique pages are resolved (and allocated) through the page table
         in order of first touch, so round-robin allocation assigns the
-        same homes as the per-access path.  The page decomposition
+        same homes as allocating access by access would (an L1 read hit,
+        which never reaches the page table, always follows an earlier
+        touch of its page).  The page decomposition
         (unique pages in first-touch order plus the scatter indices) is
         a pure function of the epoch's arrays and is memoized on the
         epoch, so lanes sharing the trace sort it once; the page-table
@@ -1050,15 +1153,16 @@ class SimulationEngine:
             self.ring.charge_bulk(src, dst, total, int(counts[p]))
             self.stats.inter_chip_bytes += total
 
-    def _accumulate_latency(self, plans: List, pair_np: np.ndarray,
+    def _accumulate_latency(self, plans: List[RoutePlan], pair_np: np.ndarray,
                             chips_np: np.ndarray, probed0: np.ndarray,
                             probed1: np.ndarray, miss: np.ndarray) -> None:
         """Accumulate the per-access latency sums used by the MLP bound.
 
-        Per-pair leg latencies are computed with the same scalar
-        expressions as :meth:`_charge_leg`/:meth:`_charge_memory_leg` and
-        summed per requesting chip in access order, so the result matches
-        the serial path exactly.
+        A leg costs ``2 * latency_noc`` on chip plus ``latency_ring_hop``
+        per ring hop across chips; every probe adds ``latency_llc`` and a
+        full miss the DRAM leg.  Leg latencies are tabulated per
+        (requester, home) pair and summed per requesting chip in access
+        order; an L1 read hit (neither stage probed) adds nothing.
         """
         params = self.params
         num_chips = self.config.num_chips
@@ -1084,14 +1188,16 @@ class SimulationEngine:
                 mem_latency += 2 * params.latency_noc + \
                     hops(last, home) * params.latency_ring_hop
             mem.append(mem_latency)
-        # Full-length gathers from the tiny per-pair tables, zeroed by the
-        # stage masks, add in the same per-element order as the masked
-        # scatter-adds they replace (leg first, then the LLC latency).
-        lat = np.array(leg0, dtype=np.float64)[pair_np] * probed0
-        lat += params.latency_llc * probed0
+        # Each access adds, in path order, stage 0's leg and probe, stage
+        # 1's leg and probe, then the memory leg.  An unprobed stage is
+        # selected away rather than multiplied by its mask, so it adds
+        # exactly nothing even when a leg latency is infinite.
+        lat = np.where(probed0, np.array(leg0, dtype=np.float64)[pair_np]
+                       + params.latency_llc, 0.0)
         if probed1.any():
-            lat += np.array(leg1, dtype=np.float64)[pair_np] * probed1
-            lat += params.latency_llc * probed1
+            lat = np.where(probed1, lat
+                           + np.array(leg1, dtype=np.float64)[pair_np]
+                           + params.latency_llc, lat)
         midx = np.flatnonzero(miss)
         if midx.size:
             lat[midx] += np.array(mem, dtype=np.float64)[pair_np.take(midx)]
@@ -1142,79 +1248,18 @@ class SimulationEngine:
             memo[key] = out
         return out
 
-    def _access(self, chip: int, cluster: int, addr: int, is_write: bool,
-                slice_index: int, channel: int, kstats: KernelStats) -> None:
-        params = self.params
-        kstats.accesses += 1
-        if self.l1 is not None:
-            l1_result = self.l1[chip][cluster].access(addr, is_write)
-            if l1_result.hit and not is_write:
-                # Write-through L1: writes always propagate to the LLC.
-                return
-        home = self.page_table.home_chip(addr, chip)
-        if self.migration is not None:
-            self.migration.observe(addr >> self._page_shift, chip)
-        plan = self.organization.plan(chip, home)
-        req_bytes = params.request_bytes + (
-            params.write_data_bytes if is_write else 0)
-        rsp_bytes = self.line_size + params.response_header_bytes
-        dedicated = getattr(self.organization, "dedicated_memory_network",
-                            False)
-        latency = 0.0
-        hit_stage: Optional[int] = None
-        kstats.llc_lookups += 1
-        line_addr = addr & self._line_mask
-
-        for stage_index, stage in enumerate(plan.stages):
-            serve = stage.chip
-            cache = self.llc[serve][slice_index]
-            self.stats.slice_requests[
-                serve * self.config.chip.llc_slices + slice_index] += 1
-            # Charge the request leg to this stage.
-            latency += self._charge_leg(chip, serve, slice_index, req_bytes,
-                                        rsp_bytes, dedicated and
-                                        stage_index > 0)
-            self._slice_bytes[serve][slice_index] += self.line_size
-            allocate = stage.allocate
-            if allocate and stage.partition and \
-                    hasattr(self.organization, "remote_allocate"):
-                # Insertion-policy organizations (LADM) decide per access
-                # whether a remote line may enter the remote partition.
-                allocate = self.organization.remote_allocate(chip, addr)
-            result = self._llc_access(cache, serve, addr, line_addr, is_write,
-                                      stage.partition, allocate,
-                                      slice_index)
-            latency += params.latency_llc
-            if result:
-                hit_stage = stage_index
-                break
-
-        if hit_stage is not None:
-            kstats.llc_hits += 1
-            origin = (ORIGIN_LOCAL_LLC
-                      if plan.stages[hit_stage].chip == chip
-                      else ORIGIN_REMOTE_LLC)
-        else:
-            # Full miss: the last probed chip forwards to the home memory.
-            last = plan.stages[-1].chip
-            latency += self._charge_memory_leg(chip, last, home, channel,
-                                               req_bytes, rsp_bytes, is_write,
-                                               dedicated)
-            origin = ORIGIN_LOCAL_MEM if home == chip else ORIGIN_REMOTE_MEM
-        self.stats.responses_by_origin[origin] += 1
-        self._latency_sum[chip] += latency
-        if is_write and self.hardware_coherence is not None and \
-                self.organization.caches_remote_data:
-            self._propagate_write_invalidations(chip, line_addr, slice_index)
-        self.organization.observe_access(self, chip, addr, home, hit_stage)
-
     def _llc_access(self, cache: SetAssociativeCache, serve: int, addr: int,
                     line_addr: int, is_write: bool, partition: int,
-                    allocate: bool, slice_index: int) -> bool:
-        """Probe (and fill) one LLC slice; returns True on a hit."""
-        remote_capable = self.organization.caches_remote_data
-        track = self.hardware_coherence is not None and remote_capable
-        track_mesi = self.mesi is not None and remote_capable
+                    allocate: bool, slice_index: int, track: bool,
+                    track_mesi: bool,
+                    evictions: List[Tuple[int, int]]) -> bool:
+        """Probe (and fill) one LLC slice; returns True on a hit.
+
+        ``track``/``track_mesi`` say whether the write-invalidate or MESI
+        directory follows this epoch's fills.  A dirty victim is
+        appended to ``evictions`` as ``(serve, addr)`` for the
+        accounting pass to write back.
+        """
         try:
             result = cache.access(addr, is_write, partition=partition,
                                   allocate_on_miss=allocate)
@@ -1227,7 +1272,8 @@ class SimulationEngine:
                     self.mesi.write(line_addr, serve))
             return True
         if result.evicted_addr is not None:
-            self._writeback_eviction(serve, result)
+            if result.evicted_dirty:
+                evictions.append((serve, result.evicted_addr))
             evicted_line = result.evicted_addr & self._line_mask
             if track:
                 self.hardware_coherence.on_evict(evicted_line, serve)
@@ -1271,22 +1317,6 @@ class SimulationEngine:
                     self.ring.charge(action.chip, home, wb_bytes)
                     self.stats.inter_chip_bytes += wb_bytes
 
-    def _writeback_eviction(self, chip: int,
-                            result: AccessResult) -> None:
-        if not result.evicted_dirty:
-            return
-        home = self.page_table.lookup(result.evicted_addr)
-        if home is None:
-            home = chip
-        wb_bytes = self.line_size + self.params.response_header_bytes
-        self.dram[home].charge(
-            self.mapping.channel_of(result.evicted_addr), wb_bytes,
-            is_write=True)
-        self.stats.dram_bytes += wb_bytes
-        if home != chip:
-            self.ring.charge(chip, home, wb_bytes)
-            self.stats.inter_chip_bytes += wb_bytes
-
     def _propagate_write_invalidations(self, chip: int, line_addr: int,
                                        slice_index: int) -> None:
         assert self.hardware_coherence is not None
@@ -1294,70 +1324,6 @@ class SimulationEngine:
         for victim in victims:
             self.llc[victim][slice_index].invalidate(line_addr)
             self.stats.coherence_invalidations += 1
-
-    # -- Traffic legs ---------------------------------------------------------
-
-    def _charge_leg(self, src: int, dst: int, slice_index: int,
-                    req_bytes: int, rsp_bytes: int,
-                    skip_crossbar: bool) -> float:
-        """Charge the SM->LLC request/response leg; returns its latency.
-
-        Both the local and the remote leg are a request+response pair:
-        the request crosses the crossbar to the LLC port and the response
-        crosses back (Figure 6 paths 1-2), so both directions pay one
-        ``latency_noc`` crossbar traversal each.  Remote legs additionally
-        pay the ring hops between the chips.
-        """
-        params = self.params
-        if src == dst:
-            xbar = self.crossbars[src]
-            port = xbar.llc_port(slice_index)
-            xbar.charge_request(port, req_bytes)
-            xbar.charge_response(port, rsp_bytes)
-            return 2 * params.latency_noc
-        hops = self.ring.hops(src, dst)
-        self.ring.charge(src, dst, req_bytes)
-        self.ring.charge(dst, src, rsp_bytes)
-        self.stats.inter_chip_bytes += req_bytes + rsp_bytes
-        if not skip_crossbar:
-            link = slice_index % self.config.chip.noc.inter_chip_ports
-            src_xbar = self.crossbars[src]
-            dst_xbar = self.crossbars[dst]
-            src_xbar.charge_request(src_xbar.inter_chip_port(link), req_bytes)
-            src_xbar.charge_response(src_xbar.inter_chip_port(link), rsp_bytes)
-            dst_xbar.charge_request(dst_xbar.llc_port(slice_index), req_bytes)
-            dst_xbar.charge_response(dst_xbar.llc_port(slice_index), rsp_bytes)
-        return 2 * params.latency_noc + hops * params.latency_ring_hop
-
-    def _charge_memory_leg(self, requester: int, last: int, home: int,
-                           channel: int, req_bytes: int, rsp_bytes: int,
-                           is_write: bool, dedicated: bool) -> float:
-        """Charge the LLC-miss -> home-DRAM leg; returns its latency."""
-        params = self.params
-        latency = params.latency_dram
-        self.dram[home].charge(channel, req_bytes + rsp_bytes, is_write)
-        self.stats.dram_bytes += req_bytes + rsp_bytes
-        if last != home:
-            # SM-side remote miss (SR): local slice -> inter-chip link ->
-            # remote chip, bypassing the remote LLC slice (Figure 6 path 4).
-            hops = self.ring.hops(last, home)
-            self.ring.charge(last, home, req_bytes)
-            self.ring.charge(home, last, rsp_bytes)
-            self.stats.inter_chip_bytes += req_bytes + rsp_bytes
-            if not dedicated:
-                link = channel % self.config.chip.noc.inter_chip_ports
-                last_xbar = self.crossbars[last]
-                home_xbar = self.crossbars[home]
-                last_xbar.charge_request(
-                    last_xbar.inter_chip_port(link), req_bytes)
-                last_xbar.charge_response(
-                    last_xbar.inter_chip_port(link), rsp_bytes)
-                home_xbar.charge_request(
-                    home_xbar.inter_chip_port(link), req_bytes)
-                home_xbar.charge_response(
-                    home_xbar.inter_chip_port(link), rsp_bytes)
-            latency += 2 * params.latency_noc + hops * params.latency_ring_hop
-        return latency
 
     # -- Epoch settlement ---------------------------------------------------------
 

@@ -112,7 +112,7 @@ class RunStats:
     kernels: List[KernelStats] = field(default_factory=list)
     # -- Run telemetry (excluded from comparable_dict): -------------------
     # Host wall-clock of the simulation (set by ``repro.sim.run.simulate``)
-    # and how many epochs took the per-access path vs resolved via the
+    # and how many epochs ran the serial probe loop vs resolved via the
     # vectorized tag-store kernel.
     wall_seconds: float = 0.0
     slow_epochs: int = 0

@@ -218,23 +218,3 @@ class TestEngineParamsValidation:
             EngineParams(write_data_bytes=-1)
         with pytest.raises(ValueError, match="cannot be negative"):
             EngineParams(response_header_bytes=-4)
-
-
-class TestLegLatency:
-    def test_local_leg_is_a_request_response_pair(self):
-        # The local SM->LLC leg pays one crossbar traversal each way,
-        # symmetric with the remote leg's 2 * latency_noc + ring hops.
-        engine, _stats = run_engine()
-        latency = engine._charge_leg(src=0, dst=0, slice_index=0,
-                                     req_bytes=8, rsp_bytes=136,
-                                     skip_crossbar=False)
-        assert latency == 2 * engine.params.latency_noc
-
-    def test_remote_leg_adds_ring_hops(self):
-        engine, _stats = run_engine()
-        latency = engine._charge_leg(src=0, dst=1, slice_index=0,
-                                     req_bytes=8, rsp_bytes=136,
-                                     skip_crossbar=False)
-        hops = engine.ring.hops(0, 1)
-        assert latency == (2 * engine.params.latency_noc
-                           + hops * engine.params.latency_ring_hop)
